@@ -1,11 +1,12 @@
-"""Dense complex matrix engine.
+"""Dense complex matrix engine on ``numpy.linalg`` (LAPACK).
 
 Everything operates on square (or rectangular, where noted) complex128 numpy
-arrays. The factorizations used by the rest of the package are implemented
-here: a cyclic Jacobi eigensolver for Hermitian matrices, positive functional
-calculus, polar decomposition with a deterministic kernel completion, and
-Gram-Schmidt based kernel / commutation solves. numpy is used for storage and
-BLAS-level arithmetic only.
+arrays. The eigensolvers and singular values come from ``numpy.linalg``;
+this module adds what the rest of the package relies on around them: input
+gates, deterministic phase and ordering of eigenvectors, positive functional
+calculus, polar decomposition with a deterministic kernel completion,
+Gram-Schmidt bases, and one SVD-based kernel routine behind every nullspace
+and commutation solve. LAPACK non-convergence surfaces as NoConvergence.
 
 All rank and kernel decisions are relative to the largest singular value of
 the operand; ``DEFAULT_RTOL`` is the package-wide default gate.
@@ -27,17 +28,23 @@ from .errors import (
 
 DEFAULT_RTOL = 1e-9
 
-# Jacobi convergence: off-diagonal Frobenius mass relative to the input norm.
-_JACOBI_TARGET = 1e-14
-_JACOBI_MAX_SWEEPS = 100
-
 # Residual threshold for accepting a Gram-Schmidt direction as new.
 _GS_KEEP = 1e-6
 
-# Rank decisions routed through a Gram matrix square the spectrum, so true
-# zeros resurface at ~sqrt(machine eps); this is the relative floor below
-# which Gram-route singular values are treated as noise.
+# Relative floor of the invertibility and polar rank gates. polar decides
+# rank on the eigenvalues of m* m, which square the singular values, so true
+# zeros resurface there at ~sqrt(machine eps). is_invertible applies the same
+# floor to the singular values themselves, so a matrix it passes as
+# invertible is also full rank to polar.
 _GRAM_FLOOR = 5e-8
+
+
+def _lapack(routine, *args, **kwargs):
+    """Call a numpy.linalg routine, reporting non-convergence as NoConvergence."""
+    try:
+        return routine(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"{routine.__name__} did not converge: {exc}") from exc
 
 
 def as_matrix(entries) -> np.ndarray:
@@ -87,11 +94,11 @@ def _check_square(m: np.ndarray) -> int:
 
 
 def hermitian_eig(m: np.ndarray, rtol: float = DEFAULT_RTOL) -> HermEig:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a Hermitian matrix by ``numpy.linalg.eigh``.
 
     Raises NotHermitian if ||m - m*||_F > rtol * ||m||_F and NoConvergence if
-    the sweep budget is exhausted. Output is deterministic for identical
-    input: eigenvalues ascending, eigenvectors phase-normalized so the first
+    LAPACK does not converge. Output is deterministic for identical input:
+    eigenvalues ascending, eigenvectors phase-normalized so the first
     non-negligible coordinate is positive real, exact ties ordered by the
     index of that coordinate.
     """
@@ -103,69 +110,7 @@ def hermitian_eig(m: np.ndarray, rtol: float = DEFAULT_RTOL) -> HermEig:
             f"matrix is not Hermitian within rtol={rtol:g} "
             f"(defect {frobenius(m - dagger(m)):.3e})"
         )
-
-    a = (m + dagger(m)) / 2.0
-    q = np.eye(n, dtype=np.complex128)
-    target = _JACOBI_TARGET * scale
-    # Entries below skip cannot by themselves keep the off-norm above target.
-    skip = target / max(n * n, 1)
-
-    def _off_norm(x: np.ndarray) -> float:
-        # Direct sum, not ||x||^2 - sum|diag|^2: that difference cancels
-        # catastrophically once the off-diagonal mass is near machine zero.
-        mask = ~np.eye(n, dtype=bool)
-        return float(np.sqrt(np.sum(np.abs(x[mask]) ** 2)))
-
-    converged = scale == 0.0
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if _off_norm(a) <= target:
-            converged = True
-            break
-        for p in range(n - 1):
-            for qq in range(p + 1, n):
-                apq = a[p, qq]
-                mag = abs(apq)
-                if mag <= skip:
-                    continue
-                app = a[p, p].real
-                aqq = a[qq, qq].real
-                phase = apq / mag
-                tau = (aqq - app) / (2.0 * mag)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                sp = s * phase
-                # a <- J* a J with J the (p,q) plane rotation.
-                col_p = a[:, p] * c - a[:, qq] * np.conj(sp)
-                col_q = a[:, p] * sp + a[:, qq] * c
-                a[:, p] = col_p
-                a[:, qq] = col_q
-                row_p = a[p, :] * c - a[qq, :] * sp
-                row_q = a[p, :] * np.conj(sp) + a[qq, :] * c
-                a[p, :] = row_p
-                a[qq, :] = row_q
-                a[p, qq] = 0.0
-                a[qq, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[qq, qq] = a[qq, qq].real
-                qcol_p = q[:, p] * c - q[:, qq] * np.conj(sp)
-                qcol_q = q[:, p] * sp + q[:, qq] * c
-                q[:, p] = qcol_p
-                q[:, qq] = qcol_q
-    else:
-        converged = False
-    if not converged:
-        off = _off_norm(a)
-        if off > target:
-            raise NoConvergence(
-                f"Jacobi sweeps exhausted (off-diagonal {off:.3e} > {target:.3e})"
-            )
-
-    values = np.diag(a).real.copy()
-    vectors = q
+    values, vectors = _lapack(np.linalg.eigh, (m + dagger(m)) / 2.0)
 
     # Deterministic phase: first coordinate above threshold made positive real.
     keys = []
@@ -264,47 +209,34 @@ def kernel_basis(
 ) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical kernel of m.
 
-    Singular vectors whose singular value is <= rtol * (largest singular
-    value); the empty (n, 0) array if there are none. An explicit ``scale``
-    replaces the largest singular value in the threshold, for problems where
-    the operand itself may be uniformly tiny (e.g. near-commuting residual
-    maps) and relative-to-self gating would be meaningless.
+    Right singular vectors whose singular value is <= rtol * (largest
+    singular value); the empty (n, 0) array if there are none. An explicit
+    ``scale`` replaces the largest singular value in the threshold, for
+    problems where the operand itself may be uniformly tiny (e.g.
+    near-commuting residual maps) and relative-to-self gating would be
+    meaningless.
 
-    Hermitian operands are diagonalized directly. General operands go
-    through the Gram matrix, whose squared spectrum hides true zeros under
-    ~sqrt(eps) noise; candidates below that floor are re-checked against the
-    direct residual ||m v||, which has full precision.
+    One route for every operand: a thin SVD, full only when m is wide, whose
+    extra right singular vectors then carry singular value zero. Singular
+    values are accurate to ~eps * ||m||, so kernels are resolved at full
+    precision.
     """
     m = as_matrix(m)
-    if m.shape[1] == 0:
+    rows, cols = m.shape
+    if cols == 0:
         return np.zeros((0, 0), dtype=np.complex128)
-    if m.shape[0] == m.shape[1] and frobenius(m - dagger(m)) <= 1e-12 * max(
-        frobenius(m), 1e-300
-    ):
-        eig = hermitian_eig((m + dagger(m)) / 2.0, rtol)
-        sigma = np.abs(eig.values)
-        smax = float(sigma.max())
-        mask = sigma <= rtol * (smax if scale is None else scale)
-        return np.ascontiguousarray(eig.vectors[:, mask])
-    gram = dagger(m) @ m
-    eig = hermitian_eig(gram, rtol)
-    sigma = np.sqrt(np.clip(eig.values, 0.0, None))
-    smax = float(sigma[-1])
+    _, sigma, vh = _lapack(np.linalg.svd, m, full_matrices=rows < cols)
+    smax = float(sigma[0]) if sigma.size else 0.0
     thr = rtol * (smax if scale is None else scale)
-    loose = sigma <= max(thr, _GRAM_FLOOR * smax)
-    if not np.any(loose):
-        return np.zeros((m.shape[1], 0), dtype=np.complex128)
-    cand = eig.vectors[:, loose]
-    resid = np.linalg.norm(m @ cand, axis=0)
-    keep = resid <= thr + 1e-300
-    return np.ascontiguousarray(cand[:, keep])
+    padded = np.zeros(cols)
+    padded[: sigma.size] = sigma
+    return np.ascontiguousarray(dagger(vh[padded <= thr]))
 
 
 def singular_extremes(m: np.ndarray, rtol: float = DEFAULT_RTOL) -> tuple[float, float]:
     """(smallest, largest) singular value of m."""
-    eig = hermitian_eig(dagger(m) @ m, rtol)
-    sigma = np.sqrt(np.clip(eig.values, 0.0, None))
-    return float(sigma[0]), float(sigma[-1])
+    sigma = _lapack(np.linalg.svd, as_matrix(m), compute_uv=False)
+    return float(sigma[-1]), float(sigma[0])
 
 
 def spectral_norm(m: np.ndarray) -> float:
@@ -314,8 +246,8 @@ def spectral_norm(m: np.ndarray) -> float:
 def is_invertible(m: np.ndarray, rtol: float = DEFAULT_RTOL) -> bool:
     """Relative invertibility gate: smallest singular value > dim*rtol*largest.
 
-    The gate is floored at the Gram-route noise level so structurally
-    singular matrices presented in a rotated basis still register.
+    The gate is floored at _GRAM_FLOOR, the rank floor polar uses, so an
+    invertible verdict also means full rank to polar.
     """
     smin, smax = singular_extremes(m, rtol)
     return smax > 0.0 and smin > max(m.shape[0] * rtol, _GRAM_FLOOR) * smax
@@ -351,36 +283,6 @@ def polar(m: np.ndarray, rtol: float = DEFAULT_RTOL) -> PolarPair:
     return PolarPair(unitary=u, positive=positive)
 
 
-def _fast_nullspace(stacked: np.ndarray, rtol: float, scale: float) -> np.ndarray | None:
-    """Kernel via Gram-Schmidt row-space complement; None when a rank
-    decision is ambiguous and the caller should fall back to the spectral
-    route. Much cheaper than an eigensolve on the Gram matrix for the large
-    stacked maps produced by commutation problems. ``scale`` anchors the
-    noise floor (rows below rtol*scale count as zero)."""
-    rows = dagger(stacked)  # columns span range(stacked^H)
-    n = rows.shape[0]
-    noise = rtol * scale
-    accepted = np.zeros((n, 0), dtype=np.complex128)
-    for j in range(rows.shape[1]):
-        v = rows[:, j].copy()
-        if np.linalg.norm(v) <= noise:
-            continue
-        for _ in range(2):
-            if accepted.shape[1]:
-                v -= accepted @ (dagger(accepted) @ v)
-        r = np.linalg.norm(v)
-        if r > 1e3 * noise:
-            accepted = np.column_stack([accepted, v / r])
-        elif r > noise:
-            return None  # borderline direction: let the eig path decide
-    null = complete_basis(accepted, n)
-    if null.shape[1]:
-        resid = np.linalg.norm(stacked @ null, axis=0)
-        if resid.size and resid.max() > 1e3 * noise:
-            return None
-    return null
-
-
 def commutation_kernel(
     pairs: list[tuple[np.ndarray, np.ndarray]], rtol: float = DEFAULT_RTOL
 ) -> list[np.ndarray]:
@@ -388,9 +290,13 @@ def commutation_kernel(
 
     Each pair is (M_k, N_k) with M_k p x p and N_k q x q; X is p x q. The
     space is the kernel of the stacked linear map X -> (X N_k - M_k X)_k.
-    Kernel thresholds are anchored to the magnitude of the coefficient
-    matrices, so exactly-intertwined and merely-nearby pairs are separated
-    at rtol relative to the legs rather than to the residual map itself.
+    That (k*p*q) x (p*q) system is never built: R starts as the first pair's
+    block and each further block is folded in as the triangular factor of a
+    QR of [R; block], so R stays square and has the same kernel and singular
+    values as the stack. The kernel is read off R by kernel_basis. Thresholds
+    are anchored to the magnitude of the coefficient matrices, so
+    exactly-intertwined and merely-nearby pairs are separated at rtol
+    relative to the legs rather than to the residual map itself.
     """
     if not pairs:
         raise ValueError("need at least one pair")
@@ -398,21 +304,19 @@ def commutation_kernel(
     q = pairs[0][1].shape[0]
     eye_p = np.eye(p, dtype=np.complex128)
     eye_q = np.eye(q, dtype=np.complex128)
-    blocks = []
+    r = None
     scale = 1e-300
     for mk, nk in pairs:
         if mk.shape != (p, p) or nk.shape != (q, q):
             raise ShapeMismatch("inconsistent shapes across commutation pairs")
-        blocks.append(np.kron(eye_p, nk.T) - np.kron(mk, eye_q))
+        block = np.kron(eye_p, nk.T) - np.kron(mk, eye_q)
+        r = block if r is None else np.linalg.qr(np.vstack([r, block]), mode="r")
         scale = max(scale, frobenius(mk) + frobenius(nk))
-    stacked = np.vstack(blocks)
-    null = _fast_nullspace(stacked, rtol, scale)
-    if null is None:
-        null = kernel_basis(stacked, rtol, scale=scale)
+    null = kernel_basis(r, rtol, scale=scale)
     return [null[:, j].reshape(p, q) for j in range(null.shape[1])]
 
 
-def _cluster_starts(values: np.ndarray, gap: float) -> list[tuple[int, int]]:
+def cluster_runs(values: np.ndarray, gap: float) -> list[tuple[int, int]]:
     """[start, stop) runs of ascending values separated by gaps <= gap."""
     runs = []
     start = 0
@@ -437,7 +341,7 @@ def commuting_hermitian_eig(
     spread = max(float(s_vals[-1] - s_vals[0]), 1.0) if s_vals.size else 1.0
     gap = 1e-8 * spread
     t_vals = np.zeros_like(s_vals)
-    for start, stop in _cluster_starts(s_vals, gap):
+    for start, stop in cluster_runs(s_vals, gap):
         block = q[:, start:stop]
         t_hat = dagger(block) @ t @ block
         sub = hermitian_eig((t_hat + dagger(t_hat)) / 2.0, rtol)
@@ -460,184 +364,23 @@ def unitary_eig(v: np.ndarray, rtol: float = DEFAULT_RTOL) -> tuple[np.ndarray, 
     return raw[order], np.ascontiguousarray(q[:, order])
 
 
-# ---------------------------------------------------------------------------
-# Internal general (non-Hermitian) spectral helpers.
-#
-# The public engine deliberately stops at Hermitian problems; the structure
-# analysis needs eigenvector seeds of non-normal word operators, so a compact
-# Schur solver lives here as a private helper. Desk scale only.
-# ---------------------------------------------------------------------------
-
-
-def _solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gaussian elimination with partial pivoting (square a, vector b).
-
-    A singular pivot is floored relative to the matrix scale; callers treat
-    non-finite or useless solutions as a failed polish, not an error.
-    """
-    a = np.array(a, dtype=np.complex128)
-    b = np.array(b, dtype=np.complex128)
-    n = a.shape[0]
-    floor = 1e-30 * (float(np.max(np.abs(a))) + 1.0)
-    with np.errstate(all="ignore"):
-        for k in range(n):
-            piv = k + int(np.argmax(np.abs(a[k:, k])))
-            if piv != k:
-                a[[k, piv]] = a[[piv, k]]
-                b[[k, piv]] = b[[piv, k]]
-            if abs(a[k, k]) < floor:
-                a[k, k] = floor
-            factors = a[k + 1 :, k] / a[k, k]
-            a[k + 1 :, k:] -= np.outer(factors, a[k, k:])
-            b[k + 1 :] -= factors * b[k]
-        x = np.zeros(n, dtype=np.complex128)
-        for k in range(n - 1, -1, -1):
-            x[k] = (b[k] - a[k, k + 1 :] @ x[k + 1 :]) / a[k, k]
-    return x
-
-
-def _hessenberg(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Householder reduction to upper Hessenberg form: q* m q = h."""
-    n = m.shape[0]
-    h = np.array(m, dtype=np.complex128)
-    q = np.eye(n, dtype=np.complex128)
-    for k in range(n - 2):
-        x = h[k + 1 :, k].copy()
-        nx = np.linalg.norm(x)
-        if nx <= 1e-300:
-            continue
-        v = x.copy()
-        phase = x[0] / abs(x[0]) if abs(x[0]) > 0 else 1.0
-        v[0] += phase * nx
-        v /= np.linalg.norm(v)
-        h[k + 1 :, :] -= 2.0 * np.outer(v, v.conj() @ h[k + 1 :, :])
-        h[:, k + 1 :] -= 2.0 * np.outer(h[:, k + 1 :] @ v, v.conj())
-        q[:, k + 1 :] -= 2.0 * np.outer(q[:, k + 1 :] @ v, v.conj())
-    for i in range(2, n):
-        h[i, : i - 1] = 0.0
-    return h, q
-
-
-def _wilkinson_shift(h: np.ndarray, m: int) -> complex:
-    x = h[m - 1, m - 1]
-    y = h[m - 1, m]
-    z = h[m, m - 1]
-    w = h[m, m]
-    d = (x - w) / 2.0
-    disc = np.sqrt(d * d + y * z)
-    denom = d + disc if abs(d + disc) >= abs(d - disc) else d - disc
-    if abs(denom) <= 1e-300:
-        return w
-    return w - y * z / denom
-
-
 def eig_general(m: np.ndarray, rtol: float = DEFAULT_RTOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and (right) eigenvectors of a general complex matrix.
+    """Eigenvalues and unit right eigenvectors of a general complex matrix.
 
-    Shifted explicit-QR iteration on the Hessenberg form with Givens
-    rotations, eigenvectors by back-substitution on the Schur factor plus one
-    inverse-iteration polish. Internal helper: eigenvectors of clustered or
-    defective spectra are best-effort seeds, not certified output.
+    ``numpy.linalg.eig``; NoConvergence if LAPACK does not converge. Each
+    eigenvector is phase-normalized so its first non-negligible coordinate is
+    positive real, and pairs are ordered by (real, imaginary) part of the
+    eigenvalue. Eigenvectors of clustered or defective spectra are
+    best-effort seeds, not certified output.
     """
     m = as_matrix(m)
     n = _check_square(m)
-    if n == 0:
-        return np.zeros(0, dtype=np.complex128), np.zeros((0, 0), dtype=np.complex128)
-    if n == 1:
-        return m[0, :1].copy(), np.ones((1, 1), dtype=np.complex128)
-    scale = max(frobenius(m), 1e-300)
-    h, z = _hessenberg(m)
-    lo_limit = 60 * n
-    active = n
-    iters = 0
-    stall = 0
-    while active > 1 and iters < lo_limit:
-        iters += 1
-        # Deflate converged subdiagonals from the bottom.
-        k = active - 1
-        while k > 0:
-            if abs(h[k, k - 1]) <= 1e-14 * (abs(h[k - 1, k - 1]) + abs(h[k, k]) + 1e-300):
-                h[k, k - 1] = 0.0
-                if k == active - 1:
-                    active -= 1
-                    stall = 0
-                    k = active - 1
-                    continue
-            k -= 1
-        if active <= 1:
-            break
-        stall += 1
-        mu = _wilkinson_shift(h, active - 1)
-        if stall % 13 == 0:
-            mu = h[active - 1, active - 1] + 0.75 * abs(h[active - 1, active - 2])
-        # One explicit shifted QR step on the active block, Givens based.
-        rots = []
-        for k in range(active):
-            h[k, k] -= mu
-        for k in range(active - 1):
-            a_, b_ = h[k, k], h[k + 1, k]
-            r = np.sqrt(abs(a_) ** 2 + abs(b_) ** 2)
-            if r <= 1e-300:
-                c_, s_ = 1.0 + 0.0j, 0.0 + 0.0j
-            else:
-                c_, s_ = a_ / r, b_ / r
-            rots.append((c_, s_))
-            row_k = np.conj(c_) * h[k, k:active] + np.conj(s_) * h[k + 1, k:active]
-            row_k1 = -s_ * h[k, k:active] + c_ * h[k + 1, k:active]
-            h[k, k:active] = row_k
-            h[k + 1, k:active] = row_k1
-        for k in range(active - 1):
-            c_, s_ = rots[k]
-            hi = min(k + 2, active)
-            col_k = h[:hi, k] * c_ + h[:hi, k + 1] * s_
-            col_k1 = -h[:hi, k] * np.conj(s_) + h[:hi, k + 1] * np.conj(c_)
-            h[:hi, k] = col_k
-            h[:hi, k + 1] = col_k1
-            zcol_k = z[:, k] * c_ + z[:, k + 1] * s_
-            zcol_k1 = -z[:, k] * np.conj(s_) + z[:, k + 1] * np.conj(c_)
-            z[:, k] = zcol_k
-            z[:, k + 1] = zcol_k1
-        for k in range(active):
-            h[k, k] += mu
-    if active > 1:
-        raise NoConvergence("QR iteration exhausted its budget")
-    for i in range(1, n):
-        h[i, :i] = 0.0
-
-    values = np.diag(h).copy()
-    vectors = np.zeros((n, n), dtype=np.complex128)
-    eps = 1e-14 * scale
+    values, vectors = _lapack(np.linalg.eig, m)
     for k in range(n):
-        with np.errstate(all="ignore"):
-            y = np.zeros(n, dtype=np.complex128)
-            y[k] = 1.0
-            for i in range(k - 1, -1, -1):
-                piv = h[i, i] - values[k]
-                if abs(piv) < eps:
-                    piv = eps
-                y[i] = -(h[i, i + 1 : k + 1] @ y[i + 1 : k + 1]) / piv
-            ynorm = np.linalg.norm(y)
-            if not np.isfinite(ynorm) or ynorm == 0.0:
-                v = z[:, k].copy()  # defective cluster: fall back to the Schur column
-            else:
-                v = z @ (y / ynorm)
-                v /= np.linalg.norm(v)
-            # One inverse-iteration step against the original matrix.
-            shifted = m - values[k] * np.eye(n, dtype=np.complex128)
-            polish = _solve_linear(shifted + (1e-12 * scale) * np.eye(n), v)
-            nrm = np.linalg.norm(polish)
-            if np.isfinite(nrm) and nrm > 0:
-                polish /= nrm
-                if np.all(np.isfinite(polish)) and np.linalg.norm(
-                    shifted @ polish
-                ) <= np.linalg.norm(shifted @ v):
-                    v = polish
-        if not np.all(np.isfinite(v)):
-            v = z[:, k].copy()
+        v = vectors[:, k]
         nz = np.flatnonzero(np.abs(v) > 1e-12)
         if nz.size:
-            v = v * (np.conj(v[nz[0]]) / abs(v[nz[0]]))
-        vectors[:, k] = v
+            vectors[:, k] = v * (np.conj(v[nz[0]]) / abs(v[nz[0]]))
     order = sorted(
         range(n), key=lambda j: (round(values[j].real, 12), round(values[j].imag, 12), j)
     )

@@ -251,12 +251,20 @@ def complete_submodule(
     requires the smallest-candidate evidence (class shortcut, whole carrier,
     or all pieces one-dimensional).
     """
+    return _complete_and_atoms(m, max_len, rtol, use_class_shortcut)[0]
+
+
+def _complete_and_atoms(
+    m: core.PModule, max_len: int | None, rtol: float, use_class_shortcut: bool
+) -> tuple[CompletePart, list[AtomicSummand] | None]:
+    """complete_submodule's search, plus the atomic part it computed on the
+    way (None when the class shortcut returned before computing it)."""
     if m.arity != 2:
         raise core.ArityUnsupported("complete_submodule is defined for two-leg modules")
     d = m.dim
     eye = np.eye(d, dtype=np.complex128)
     if use_class_shortcut and core.in_class_m(m, rtol):
-        return CompletePart(isometry=eye, p_dimension=d, confidence="certified")
+        return CompletePart(isometry=eye, p_dimension=d, confidence="certified"), None
 
     atoms = atomic_part(m, max_len, rtol)
     # Atomic carriers are exact; every other piece must be one-dimensional
@@ -315,7 +323,7 @@ def complete_submodule(
         confidence = "certified"
     else:
         confidence = "heuristic"
-    return CompletePart(isometry=v, p_dimension=v.shape[1], confidence=confidence)
+    return CompletePart(isometry=v, p_dimension=v.shape[1], confidence=confidence), atoms
 
 
 def _diffuse_certificate(
@@ -369,8 +377,9 @@ def classify_parts(
     the complete part; it counts as certified diffuse when it is
     leg-invariant and passes the decay certificate.
     """
-    comp = complete_submodule(m, max_len, rtol)
-    atoms = atomic_part(m, max_len, rtol)
+    comp, atoms = _complete_and_atoms(m, max_len, rtol, use_class_shortcut=True)
+    if atoms is None:
+        atoms = atomic_part(m, max_len, rtol)
     d = m.dim
     v = comp.isometry
     if atoms:
@@ -489,7 +498,7 @@ def decompose_full(
                 cand = (y - la.dagger(y)) / 2.0j
             eig = la.hermitian_eig(cand, rtol)
             spread = float(eig.values[-1] - eig.values[0])
-            runs = la._cluster_starts(eig.values, max(1e-8 * max(spread, 1.0), 1e-12))
+            runs = la.cluster_runs(eig.values, max(1e-8 * max(spread, 1.0), 1e-12))
             if len(runs) > 1:
                 h = (eig, runs)
                 break

@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
+from pmod import core, families
 from pmod import linalg as la
-from pmod.errors import NotHermitian, NotPositive, ShapeMismatch, SingularOperand
+from pmod.errors import (
+    NoConvergence,
+    NotHermitian,
+    NotPositive,
+    ShapeMismatch,
+    SingularOperand,
+)
 
 from conftest import random_unitary
 
@@ -154,6 +161,39 @@ def test_kernel_basis_examples():
     assert np.allclose(np.abs(k[:, 0]), np.array([1, 1]) / np.sqrt(2))
 
 
+def test_kernel_basis_precision_and_wide_operand():
+    # Non-Hermitian 6x4 operand with singular values (1, 1e-3, 1e-12, 0):
+    # the kernel at the default rtol is spanned by the last two right
+    # singular vectors, to full precision despite the 1e-12 direction.
+    rng = np.random.default_rng(31)
+    left = random_unitary(rng, 6)[:, :4]
+    right = random_unitary(rng, 4)
+    m = (left * np.array([1.0, 1e-3, 1e-12, 0.0])) @ right.conj().T
+    k = la.kernel_basis(m)
+    assert k.shape == (4, 2)
+    want = right[:, 2:]
+    assert np.linalg.norm(k @ k.conj().T - want @ want.conj().T, 2) <= 1e-12
+
+    wide = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+    k = la.kernel_basis(wide)
+    assert k.shape == (4, 2)
+    assert np.linalg.norm(wide @ k) <= 1e-12 * np.linalg.norm(wide)
+    assert np.linalg.norm(k.conj().T @ k - np.eye(2)) <= 1e-12
+
+
+def test_lapack_failure_maps_to_no_convergence(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(np.linalg, "eig", fail)
+    m = np.eye(2, dtype=complex)
+    with pytest.raises(NoConvergence):
+        la.hermitian_eig(m)
+    with pytest.raises(NoConvergence):
+        la.eig_general(m)
+
+
 def test_commutation_kernel_examples_and_residual():
     eye = np.eye(2, dtype=complex)
     basis = la.commutation_kernel([(eye, eye)])
@@ -171,6 +211,24 @@ def test_commutation_kernel_examples_and_residual():
     for x in la.commutation_kernel(pairs):
         assert max(np.linalg.norm(x @ n - m @ x) for m, n in pairs) <= 1e-9
         assert abs(np.linalg.norm(x) - 1.0) < 1e-10
+
+    # 2 x 01(phi) + N(3) in a random basis: the star commutant is M_2 on the
+    # atomic multiplicity plus the scalars on N(3), dimension 5, clean and
+    # under 1e-11 entry noise alike.
+    atom = families.atomic_module(families.AtomicLabel("01", np.exp(0.7j)))
+    total = core.direct_sum(core.direct_sum(atom, atom), families.random_module(3, seed=5))
+    u = random_unitary(rng, total.dim)
+    legs = core.conjugate(total, u).legs
+    noise = [1e-11 * (rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7)))
+             for _ in legs]
+    for noisy in (False, True):
+        ops = [leg + e for leg, e in zip(legs, noise)] if noisy else list(legs)
+        pairs = [(x, x) for x in ops] + [(x.conj().T, x.conj().T) for x in ops]
+        basis = la.commutation_kernel(pairs)
+        assert len(basis) == 5
+        if not noisy:
+            for x in basis:
+                assert max(np.linalg.norm(x @ n - m @ x) for m, n in pairs) <= 1e-9
 
 
 def test_commutation_kernel_shape_mismatch():

@@ -350,14 +350,20 @@ def test_complete_submodule_mixed_complete_and_residual():
     assert (rep.diffuse_dim, rep.atomic_dim, rep.residual_dim) == (2, 0, 1)
 
 
-def test_complete_submodule_atomic_plus_residual():
+def test_complete_submodule_atomic_plus_residual(monkeypatch):
     m = core.direct_sum(shared_eigenline_module(),
                         families.atomic_module(families.AtomicLabel("01", 1j)))
     cp = structure.complete_submodule(m)
     assert cp.p_dimension == 3
     assert cp.confidence == "certified"
+    calls = []
+    atomic_part = structure.atomic_part
+    monkeypatch.setattr(
+        structure, "atomic_part", lambda *a, **k: calls.append(1) or atomic_part(*a, **k)
+    )
     rep = structure.classify_parts(m)
     assert (rep.atomic_dim, rep.diffuse_dim, rep.residual_dim) == (2, 1, 1)
+    assert len(calls) == 1  # the complete-part search's atomic part is reused
 
 
 def test_complete_submodule_coupled_residual_column():

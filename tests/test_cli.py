@@ -79,6 +79,278 @@ def test_render_json_sorted_keys():
 
 
 # ---------------------------------------------------------------------------
+# Output bytes, pinned. Files and JSON reports are laid out as
+# json.dumps(sort_keys=True, indent=2) lays out nested lists of floats rounded
+# to 12 significant digits. The golden literals pin small cases byte for byte;
+# the references rebuild larger ones with json.dumps itself.
+# ---------------------------------------------------------------------------
+
+
+def small_module():
+    return core.PModule(
+        legs=(np.array([[0.6, 0], [0, 0.8j]]), np.array([[0, 0.6j], [-0.8, 0]]))
+    )
+
+
+SMALL_META = {"class_tag": "N", "name": "shift", "seed": 7}
+
+
+def edge_module():
+    """Signed zeros, a small and a huge exponent, subnormals, 12-digit ties."""
+    return core.PModule(
+        legs=(
+            np.array(
+                [
+                    [complex(0.0, -0.0), complex(-0.0, 1e-5)],
+                    [complex(1e16, -1e16), complex(5e-324, 123456789012.5)],
+                ]
+            ),
+            np.array(
+                [
+                    [complex(1 / 3, -2 / 3), complex(0.1 + 0.2, -2.5e-7)],
+                    [complex(1e12, -5e-324), complex(999999999999.5, 1.0)],
+                ]
+            ),
+        )
+    )
+
+
+SMALL_JSON = """\
+{
+  "arity": 2,
+  "dim": 2,
+  "legs": [
+    [
+      [
+        [
+          0.6,
+          0.0
+        ],
+        [
+          0.0,
+          0.0
+        ]
+      ],
+      [
+        [
+          0.0,
+          0.0
+        ],
+        [
+          0.0,
+          0.8
+        ]
+      ]
+    ],
+    [
+      [
+        [
+          0.0,
+          0.0
+        ],
+        [
+          0.0,
+          0.6
+        ]
+      ],
+      [
+        [
+          -0.8,
+          0.0
+        ],
+        [
+          0.0,
+          0.0
+        ]
+      ]
+    ]
+  ],
+  "metadata": {
+    "class_tag": "N",
+    "name": "shift",
+    "seed": 7
+  }
+}"""
+
+SMALL_TEXT = """\
+arity: 2
+dim: 2
+legs: [[[[0.6, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.8]]], [[[0.0, 0.0], [0.0, 0.6]], [[-0.8, 0.0], [0.0, 0.0]]]]
+metadata:
+  class_tag: "N"
+  name: "shift"
+  seed: 7"""
+
+EDGE_JSON = """\
+{
+  "arity": 2,
+  "dim": 2,
+  "legs": [
+    [
+      [
+        [
+          0.0,
+          0.0
+        ],
+        [
+          0.0,
+          1e-05
+        ]
+      ],
+      [
+        [
+          1e+16,
+          -1e+16
+        ],
+        [
+          5e-324,
+          123456789012.0
+        ]
+      ]
+    ],
+    [
+      [
+        [
+          0.333333333333,
+          -0.666666666667
+        ],
+        [
+          0.3,
+          -2.5e-07
+        ]
+      ],
+      [
+        [
+          1000000000000.0,
+          -5e-324
+        ],
+        [
+          1000000000000.0,
+          1.0
+        ]
+      ]
+    ]
+  ]
+}"""
+
+EDGE_TEXT = """\
+arity: 2
+dim: 2
+legs: [[[[0.0, 0.0], [0.0, 1e-05]], [[1e+16, -1e+16], [5e-324, 123456789012.0]]], [[[0.333333333333, -0.666666666667], [0.3, -2.5e-07]], [[1000000000000.0, -5e-324], [1000000000000.0, 1.0]]]]"""
+
+
+def test_render_golden_small_cases():
+    m = small_module()
+    assert fileio.serialize_module(m, SMALL_META) == SMALL_JSON
+    assert fileio.render_module(m, SMALL_META, "json") == SMALL_JSON
+    assert fileio.render_module(m, SMALL_META, "text") == SMALL_TEXT
+    e = edge_module()
+    assert fileio.serialize_module(e) == EDGE_JSON
+    assert fileio.render_report(e, "json") == EDGE_JSON
+    assert fileio.render_report(e, "text") == EDGE_TEXT
+
+
+def ref_number(x):
+    return float(f"{x:.12g}") or 0.0  # -0.0 is written as 0.0
+
+
+def ref_pair(z):
+    return [ref_number(z.real), ref_number(z.imag)]
+
+
+def ref_matrix(m):
+    return [[ref_pair(z) for z in row] for row in np.asarray(m)]
+
+
+def ref_module(m):
+    return {"arity": m.arity, "dim": m.dim, "legs": [ref_matrix(leg) for leg in m.legs]}
+
+
+def ref_text(payload, indent=""):
+    """Text layout: objects nest by indentation, lists of objects list their
+    items, and every other value is one line of JSON."""
+    lines = []
+    for key in sorted(payload):
+        value = payload[key]
+        if isinstance(value, dict):
+            lines += [f"{indent}{key}:", *ref_text(value, indent + "  ")]
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
+            lines.append(f"{indent}{key}: ({len(value)})")
+            for item in value:
+                lines += [*ref_text(item, indent + "  "), f"{indent}  -"]
+        else:
+            lines.append(f"{indent}{key}: {json.dumps(value, sort_keys=True)}")
+    return lines
+
+
+def assert_renders_as(report, ref):
+    assert fileio.render_report(report, "json") == json.dumps(ref, sort_keys=True, indent=2)
+    assert fileio.render_report(report, "text") == "\n".join(ref_text(ref))
+
+
+def test_render_matches_json_reference():
+    p64 = core.boxtimes(
+        families.random_module(8, "N", seed=1), families.random_module(8, "N", seed=2)
+    )
+    k4 = core.kawamura_tensor(
+        families.random_module(3, "N", seed=3), families.random_module(2, "M", seed=4)
+    )
+    assert p64.dim == 64 and k4.arity == 4
+    for m in (p64, k4):
+        assert fileio.serialize_module(m) == json.dumps(ref_module(m), sort_keys=True, indent=2)
+        assert_renders_as(m, ref_module(m))
+    meta = {"seed": 4, "note": "arity 4", "tags": ["M", None, 2.5]}
+    ref = {**ref_module(k4), "metadata": meta}
+    assert fileio.render_module(k4, meta, "json") == json.dumps(ref, sort_keys=True, indent=2)
+    assert fileio.render_module(k4, meta, "text") == "\n".join(ref_text(ref))
+
+    d2 = families.d2_fuse(*d2_display_pair())
+    splits = [
+        None if split is None else [{"a": ref_pair(s.a), "b": ref_pair(s.b)} for s in split]
+        for split in d2.scalar_splits
+    ]
+    blocks = [ref_module(b) for b in d2.blocks]
+    assert_renders_as(d2, {"type": "d2-fusion", "blocks": blocks, "scalar_splits": splits})
+
+    label = families.AtomicLabel("01", 1j)
+    dec = structure.decompose_full(
+        core.direct_sum(families.atomic_module(label), families.random_module(2, "N", seed=5)),
+        seed=1,
+    )
+    assert {s.label is None for s in dec.summands} == {True, False}
+    summands = [
+        {
+            "dimension": s.dimension,
+            "tag": s.tag,
+            "label": None
+            if s.label is None
+            else {"word": s.label.word, "phase": ref_pair(s.label.phase)},
+            "isometry": ref_matrix(s.isometry),
+        }
+        for s in dec.summands
+    ]
+    assert_renders_as(
+        dec,
+        {
+            "type": "decomposition",
+            "summands": summands,
+            "residual_dimension": dec.residual_dimension,
+            "p_dimension": dec.p_dimension,
+            "confidence": dec.confidence,
+            "seed": dec.seed,
+        },
+    )
+
+    m = families.random_module(3, "N", seed=6)
+    eq = structure.equivalent(m, core.conjugate(m, np.eye(3)[[2, 0, 1]].astype(complex)))
+    assert eq.verdict is True and eq.witness is not None
+    witness = ref_matrix(eq.witness)
+    assert_renders_as(
+        eq, {"type": "equivalence", "verdict": True, "reason": eq.reason, "witness": witness}
+    )
+
+
+# ---------------------------------------------------------------------------
 # CLI subcommands and exit codes.
 # ---------------------------------------------------------------------------
 
@@ -142,6 +414,20 @@ def test_cli_parse_error_exit_2(files, capsys, tmp_path):
     assert "ParseError" in err
     code, _, err = run_cli(capsys, "fuse", str(tmp_path / "missing.json"), str(good))
     assert code == 2
+
+
+def test_cli_deeply_nested_module_file_exit_2(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    code, out, err = run_cli(capsys, "validate", str(deep))
+    assert (code, out) == (2, "")
+    assert err.startswith("ERROR ParseError: malformed JSON")
+
+
+def test_cli_deeply_nested_gp_vector_exit_2(capsys):
+    code, out, err = run_cli(capsys, "gp-fuse", "--z", "[" * 200_000, "--zt", "[[[1,0],[0,0]]]")
+    assert (code, out) == (2, "")
+    assert err.startswith("ERROR ParseError: malformed GP vector JSON")
 
 
 def test_cli_pythagorean_violation_exit_2(files, capsys, tmp_path):

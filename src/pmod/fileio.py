@@ -81,7 +81,11 @@ def _parse_entry(value, where: str) -> complex:
     # On decoded JSON, bool is the only subclass of int or float.
     if type(value) is not list or len(value) != 2 or not {*map(type, value)} <= {int, float}:
         raise ShapeError(f"{where}: expected an [re, im] pair, got {value!r}")
-    if not (isfinite(value[0]) and isfinite(value[1])):
+    try:
+        finite = isfinite(value[0]) and isfinite(value[1])
+    except OverflowError:
+        raise ShapeError(f"{where}: integer entry too large for a float") from None
+    if not finite:
         raise ShapeError(f"{where}: entries must be finite")
     return complex(*value)
 
@@ -100,7 +104,7 @@ def parse_module_file(text: str, tol: float = PARSE_TOL) -> tuple[core.PModule, 
     """
     try:
         obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, int-digit limit
         raise ParseError(f"malformed JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("top level must be a JSON object")
@@ -122,13 +126,17 @@ def parse_module_file(text: str, tol: float = PARSE_TOL) -> tuple[core.PModule, 
             if not isinstance(row, list) or len(row) != dim:
                 raise ShapeError(f"legs[{k}][{i}]: expected {dim} entries")
             # _parse_entry's test; on failure it names the first bad entry.
-            if not all(
-                type(e) is list and len(e) == 2 and type(e[0]) in (int, float)
-                and type(e[1]) in (int, float) and isfinite(e[0]) and isfinite(e[1])
-                for e in row
-            ):
-                for j, entry in enumerate(row):
-                    _parse_entry(entry, f"legs[{k}][{i}][{j}]")
+            try:
+                if all(
+                    type(e) is list and len(e) == 2 and type(e[0]) in (int, float)
+                    and type(e[1]) in (int, float) and isfinite(e[0]) and isfinite(e[1])
+                    for e in row
+                ):
+                    continue
+            except OverflowError:  # an integer beyond the float range
+                pass
+            for j, entry in enumerate(row):
+                _parse_entry(entry, f"legs[{k}][{i}][{j}]")
         parsed.append(np.array(leg, dtype=float).view(np.complex128)[..., 0])
     metadata = obj.get("metadata", {})
     if metadata and not isinstance(metadata, dict):
@@ -151,7 +159,7 @@ def parse_gp_vector(text: str) -> families.GPVector:
     """GP vector JSON: [[ [re,im], [re,im] ], ...], one [a, b] pair per slot."""
     try:
         obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, int-digit limit
         raise ParseError(f"malformed GP vector JSON: {exc}") from exc
     if not isinstance(obj, list) or not obj:
         raise ShapeError("GP vector: expected a non-empty list of [a, b] entries")
@@ -162,7 +170,10 @@ def parse_gp_vector(text: str) -> families.GPVector:
         a = _parse_entry(item[0], f"entry {i}.a")
         b = _parse_entry(item[1], f"entry {i}.b")
         entries.append((a, b))
-    defect = max(abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) for a, b in entries)
+    try:
+        defect = max(abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) for a, b in entries)
+    except OverflowError:  # an entry whose square leaves the float range
+        defect = float("inf")
     if defect > 1e-8:
         raise PythagoreanViolation(
             f"GP vector entries leave the unit sphere (defect {defect:.3e})",

@@ -25,9 +25,6 @@ from .errors import NotFullSuspected, ShapeMismatch
 # Leg-invariance acceptance for emitted isometries.
 _INV_TOL = 1e-8
 
-# Word-count budget for trace fingerprints (level-by-level, all legs).
-_FINGERPRINT_BUDGET = 510
-
 # Diffuse certificate: prune word branches once the restricted operator norm
 # drops below this; survivors at exhausted budget make the verdict heuristic.
 _DECAY_PRUNE = 1.0 - 1e-7
@@ -51,6 +48,23 @@ def intertwiner_basis(
         raise ShapeMismatch("intertwiners need equal arity")
     pairs = [(mt.legs[k], m.legs[k]) for k in range(m.arity)]
     return la.commutation_kernel(pairs, rtol)
+
+
+def _star_intertwiners(m: core.PModule, mt: core.PModule, rtol: float) -> list[np.ndarray]:
+    """Orthonormal basis of Hom(m, mt) = {X : X L_k = Lt_k X, X L_k* = Lt_k* X}.
+
+    Maps intertwining the *-algebras the legs generate; End(m) is
+    Hom(m, m), the adjoint-closed commutant.
+    """
+    pairs = [(mt.legs[k], m.legs[k]) for k in range(m.arity)]
+    pairs += [(la.dagger(y), la.dagger(x)) for y, x in pairs]
+    return la.commutation_kernel(pairs, rtol)
+
+
+def _invariance_defect(m: core.PModule, q: np.ndarray) -> float:
+    """max_k ||(I - q q*) L_k q||_F: how far span(q) is from leg-invariant."""
+    proj_out = np.eye(m.dim, dtype=np.complex128) - q @ la.dagger(q)
+    return max(la.frobenius(proj_out @ leg @ q) for leg in m.legs)
 
 
 def _stay_inside(m: core.PModule, q: np.ndarray, rtol: float) -> np.ndarray:
@@ -197,13 +211,7 @@ def atomic_part(
                     carrier = la.gram_schmidt(orbit)
                     if carrier.shape[1] != len(word):
                         continue
-                    inv = max(
-                        la.frobenius(
-                            (eye - carrier @ la.dagger(carrier)) @ leg @ carrier
-                        )
-                        for leg in m.legs
-                    )
-                    if inv > _INV_TOL:
+                    if _invariance_defect(m, carrier) > _INV_TOL:
                         continue
                     found.append(
                         AtomicSummand(
@@ -393,14 +401,10 @@ def classify_parts(
     residual = d - comp.p_dimension
 
     confidence = comp.confidence
-    if diffuse_dim:
-        eye = np.eye(d, dtype=np.complex128)
-        inv = max(
-            la.frobenius((eye - diffuse @ la.dagger(diffuse)) @ leg @ diffuse)
-            for leg in m.legs
-        )
-        if inv > _INV_TOL or not _diffuse_certificate(m, diffuse, rtol):
-            confidence = "heuristic"
+    if diffuse_dim and (
+        _invariance_defect(m, diffuse) > _INV_TOL or not _diffuse_certificate(m, diffuse, rtol)
+    ):
+        confidence = "heuristic"
     return ClassifyReport(
         diffuse_dim=diffuse_dim,
         atomic_dim=atomic_dim,
@@ -434,11 +438,11 @@ class DecompositionReport:
     seed: int
 
 
-def _word_traces(m: core.PModule, budget: int = _FINGERPRINT_BUDGET) -> np.ndarray:
+def _word_traces(m: core.PModule, budget: int) -> np.ndarray:
     """Traces of all leg words, level by level, within a word-count budget.
 
-    Unitary equivalence preserves every entry, so mismatches are a rigorous
-    inequivalence witness.
+    Unitary equivalence preserves every entry, so equivalent summands get
+    equal keys.
     """
     traces = []
     level = [np.eye(m.dim, dtype=np.complex128)]
@@ -456,14 +460,8 @@ def _word_traces(m: core.PModule, budget: int = _FINGERPRINT_BUDGET) -> np.ndarr
 
 
 def _fingerprint_key(m: core.PModule) -> tuple:
-    tr = _word_traces(m, budget=2 * m.arity * m.arity)
+    tr = _word_traces(m, 2 * m.arity * m.arity)
     return tuple((round(t.real, 6), round(t.imag, 6)) for t in tr)
-
-
-def _star_commutant(mod: core.PModule, rtol: float) -> list[np.ndarray]:
-    pairs = [(leg, leg) for leg in mod.legs]
-    pairs += [(la.dagger(leg), la.dagger(leg)) for leg in mod.legs]
-    return la.commutation_kernel(pairs, rtol)
 
 
 def decompose_full(
@@ -486,7 +484,7 @@ def decompose_full(
     def split(q: np.ndarray) -> list[np.ndarray]:
         nonlocal certified
         sub = _restricted_module(m, q)
-        basis = _star_commutant(sub, rtol)
+        basis = _star_intertwiners(sub, sub, rtol)
         if len(basis) <= 1:
             return [q]
         h = None
@@ -509,9 +507,7 @@ def decompose_full(
         out = []
         for start, stop in runs:
             qc = q @ eig.vectors[:, start:stop]
-            inv = max(
-                la.frobenius((eye - qc @ la.dagger(qc)) @ leg @ qc) for leg in m.legs
-            )
+            inv = _invariance_defect(m, qc)
             if inv > _INV_TOL:
                 raise NotFullSuspected(
                     f"commutant eigenspace is not leg-invariant (defect {inv:.3e}); "
@@ -582,68 +578,34 @@ def equivalent(
     rtol: float = la.DEFAULT_RTOL,
     seed: int = 0,
 ) -> EquivalenceResult:
-    """Tiered unitary-equivalence test with verdicts true / false / undecided.
+    """Unitary-equivalence test with verdicts true / false / undecided.
 
-    Dimension mismatch or distinct word-trace fingerprints give a rigorous
-    false. A one-dimensional intertwiner space in both directions decides
-    the question outright (the intertwiner must be a multiple of a unitary
-    for equivalence). Otherwise both sides are fully decomposed and the
-    irreducible summands matched greedily; "true" verdicts always carry an
-    explicitly verified witness unitary.
+    Unitary equivalence is equivalence of the *-representations the legs
+    generate. With irreducible multiplicities n_i in m and n'_i in mt,
+    dim Hom(m, mt) = sum n_i n'_i, dim End(m) = sum n_i^2 and dim End(mt) =
+    sum n'_i^2, so by Cauchy-Schwarz m and mt are equivalent exactly when
+    the three dimensions agree. Then a generic element of Hom(m, mt) is
+    invertible and the unitary factor of its polar decomposition is a
+    witness. "true" is returned only with that factor, for a seeded random
+    element of one *-intertwiner solve, verified; an empty Hom, or one whose
+    dimension differs from dim End(m) or dim End(mt), gives "false"; agreeing
+    dimensions without a verified witness leave the verdict undecided.
     """
     if m.arity != mt.arity:
         return EquivalenceResult(False, None, "arity mismatch")
     if m.dim != mt.dim:
         return EquivalenceResult(False, None, "dimension mismatch")
-    ta = _word_traces(m)
-    tb = _word_traces(mt)
-    if not np.allclose(ta, tb, rtol=1e-7, atol=1e-7):
-        return EquivalenceResult(False, None, "word-trace fingerprints differ")
-
-    fwd = intertwiner_basis(m, mt, rtol)
-    bwd = intertwiner_basis(mt, m, rtol)
-    if not fwd or not bwd:
-        return EquivalenceResult(False, None, "no intertwiner in one direction")
-    if len(fwd) == 1 and len(bwd) == 1:
-        x = fwd[0]
-        gram = la.dagger(x) @ x
-        mean = float(np.trace(gram).real) / m.dim
-        if mean > 0 and la.frobenius(gram - mean * np.eye(m.dim)) <= 1e-7:
-            u = x / np.sqrt(mean)
-            if _verify_witness(m, mt, u, rtol):
-                return EquivalenceResult(True, u, "unique unitary intertwiner")
-        return EquivalenceResult(False, None, "unique intertwiner is not unitary")
-
-    try:
-        da = decompose_full(m, rtol, seed)
-        db = decompose_full(mt, rtol, seed + 1)
-    except NotFullSuspected:
-        return EquivalenceResult(None, None, "inputs resist full decomposition")
-    if len(da.summands) == 1 and len(db.summands) == 1:
-        # Nothing split: recursing on the whole carriers would loop.
-        return EquivalenceResult(None, None, "indecomposable beyond the intertwiner tier")
-    certified = da.confidence == "certified" and db.confidence == "certified"
-    remaining = list(db.summands)
-    matches: list[tuple[Summand, Summand, np.ndarray]] = []
-    for sa in da.summands:
-        ma = _restricted_module(m, sa.isometry)
-        hit = None
-        for sb in remaining:
-            if sb.dimension != sa.dimension:
-                continue
-            res = equivalent(ma, _restricted_module(mt, sb.isometry), rtol, seed + 17)
-            if res.verdict:
-                hit = (sb, res.witness)
-                break
-        if hit is None:
-            if certified:
-                return EquivalenceResult(False, None, "summand multisets differ")
-            return EquivalenceResult(None, None, "heuristic decomposition mismatch")
-        remaining = [s for s in remaining if s is not hit[0]]
-        matches.append((sa, hit[0], hit[1]))
-    u = np.zeros((m.dim, m.dim), dtype=np.complex128)
-    for sa, sb, ub in matches:
-        u += sb.isometry @ ub @ la.dagger(sa.isometry)
+    hom = _star_intertwiners(m, mt, rtol)
+    if not hom:
+        return EquivalenceResult(False, None, "no *-intertwiner")
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal(len(hom)) + 1j * rng.standard_normal(len(hom))
+    u = la.polar(sum(c * x for c, x in zip(coeffs, hom))).unitary
     if _verify_witness(m, mt, u, rtol):
-        return EquivalenceResult(True, u, "matched irreducible summands")
-    return EquivalenceResult(None, None, "assembled witness failed verification")
+        return EquivalenceResult(True, u, "polar factor of a *-intertwiner")
+    ends = (len(_star_intertwiners(m, m, rtol)), len(_star_intertwiners(mt, mt, rtol)))
+    if ends != (len(hom), len(hom)):
+        return EquivalenceResult(
+            False, None, f"dim Hom {len(hom)} differs from dim End {ends[0]}, {ends[1]}"
+        )
+    return EquivalenceResult(None, None, "commutant dimensions agree, witness failed")

@@ -1,9 +1,12 @@
 """File format and CLI contract tests."""
 
+import contextlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmod import cli, core, families, fileio, structure
 from pmod.errors import ParseError, PythagoreanViolation, ShapeError
@@ -76,6 +79,53 @@ def test_render_json_sorted_keys():
     payload = fileio.render_report(core.validate(core.unit_module()), "json")
     parsed = json.loads(payload)
     assert list(parsed) == sorted(parsed)
+
+
+# JSON text with huge integer literals (("big", n) is n nines, past the float
+# range and, beyond 4300 digits, past Python's int-parsing limit), NaN and
+# Infinity, wrong types, ragged rows and deep nesting.
+def _json_text(v) -> str:
+    if isinstance(v, tuple):
+        return "9" * v[1]
+    if isinstance(v, list):
+        return "[" + ",".join(map(_json_text, v)) + "]"
+    if isinstance(v, dict):
+        return "{" + ",".join(f"{json.dumps(k)}:{_json_text(x)}" for k, x in v.items()) + "}"
+    return json.dumps(v)
+
+
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(), st.text(max_size=3),
+    st.tuples(st.just("big"), st.sampled_from([310, 400, 5000])),
+)
+_values = st.recursive(
+    _scalars, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+_entries = st.one_of(
+    *(st.lists(x, min_size=2, max_size=2) for x in (st.floats(-1, 1), st.floats(), _scalars)), _values
+)
+_modules = st.fixed_dictionaries(
+    {"arity": st.one_of(st.just(2), _scalars), "dim": st.one_of(st.integers(0, 2), _scalars),
+     "legs": st.lists(st.lists(st.lists(_entries, max_size=3), max_size=3), max_size=3)},
+    optional={"metadata": _values},
+)
+_gp_vectors = st.one_of(st.lists(st.lists(_entries, min_size=2, max_size=2), max_size=3), _values)
+_deep = st.tuples(st.integers(1, 5000), st.sampled_from(["", "1", "]", "{}"])).map(lambda t: "[" * t[0] + t[1])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(text=st.one_of(_modules.map(_json_text), _values.map(_json_text), _deep))
+def test_parse_module_file_fuzz(text):
+    with contextlib.suppress(ParseError):  # anything else fails the test
+        fileio.parse_module_file(text)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(text=st.one_of(_gp_vectors.map(_json_text), _deep))
+def test_parse_gp_vector_fuzz(text):
+    with contextlib.suppress(ParseError):
+        fileio.parse_gp_vector(text)
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +478,21 @@ def test_cli_deeply_nested_gp_vector_exit_2(capsys):
     code, out, err = run_cli(capsys, "gp-fuse", "--z", "[" * 200_000, "--zt", "[[[1,0],[0,0]]]")
     assert (code, out) == (2, "")
     assert err.startswith("ERROR ParseError: malformed GP vector JSON")
+
+
+def test_cli_huge_integer_module_entry_exit_2(capsys, tmp_path):
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"arity":2,"dim":1,"legs":[[[[1' + "0" * 400 + ',0]]],[[[0,0]]]]}')
+    code, out, err = run_cli(capsys, "validate", str(huge))
+    assert (code, out) == (2, "")
+    assert err.startswith("ERROR ShapeError: legs[0][0][0]: integer entry too large")
+
+
+def test_cli_huge_integer_gp_entry_exit_2(capsys):
+    z = "[[[1" + "0" * 400 + ",0],[0,0]]]"
+    code, out, err = run_cli(capsys, "gp-fuse", "--z", z, "--zt", "[[[1,0],[0,0]]]")
+    assert (code, out) == (2, "")
+    assert err.startswith("ERROR ShapeError: entry 0.a: integer entry too large")
 
 
 def test_cli_pythagorean_violation_exit_2(files, capsys, tmp_path):

@@ -330,6 +330,36 @@ def test_equivalent_atomic_rotated_word_same_phase():
     assert structure.equivalent(canonical, rotated).verdict is True
 
 
+def test_equivalent_false_from_commutant_dimensions():
+    # Cauchy-Schwarz case: dim Hom(m, mt) = dim End(m) = 2 but dim End(mt) = 5,
+    # so the dimensions, not an empty Hom, decide inequivalence.
+    m = core.direct_sum(core.unit_module(), families.random_module(2, "N", seed=21))
+    units = core.direct_sum(core.unit_module(), core.unit_module())
+    mt = core.direct_sum(units, core.scalar_module(0.6, 0.8))
+    assert m.dim == mt.dim == 3
+    dims = [len(structure._star_intertwiners(a, b, 1e-9)) for a, b in ((m, mt), (m, m), (mt, mt))]
+    assert dims == [2, 2, 5]
+    for a, b in ((m, mt), (mt, m)):
+        res = structure.equivalent(a, b)
+        assert res.verdict is False and res.witness is None
+
+
+def test_equivalent_decides_without_decomposing(monkeypatch):
+    rng = np.random.default_rng(14)
+    atom = families.atomic_module(families.AtomicLabel("01", np.exp(0.7j)))
+    m = core.direct_sum(core.direct_sum(atom, atom), families.random_module(3, seed=5))
+    mt = core.conjugate(m, random_unitary(rng, m.dim))
+    calls = []
+    decompose_full = structure.decompose_full
+    monkeypatch.setattr(
+        structure, "decompose_full", lambda *a, **k: calls.append(1) or decompose_full(*a, **k)
+    )
+    res = structure.equivalent(m, mt)
+    assert res.verdict is True
+    assert structure._verify_witness(m, mt, res.witness, 1e-9)
+    assert calls == []
+
+
 def test_atomic_part_two_distinct_words():
     a = families.atomic_module(families.AtomicLabel("01", 1j))
     b = families.atomic_module(families.AtomicLabel("001", np.exp(0.5j)))

@@ -109,8 +109,10 @@ def pythagorean_residual(m: PModule) -> float:
 
 
 def validate(m: PModule, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Check the defining identity; the report carries the residual."""
-    residual = pythagorean_residual(m)
+    """Check the defining identity; the report carries the residual, which is
+    infinite (or NaN) when the legs' squares leave the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = pythagorean_residual(m)
     return ValidationReport(passed=residual <= tol, residual=residual, tol=tol)
 
 

@@ -53,8 +53,9 @@ class _Matrix:
 
 
 def _dumps(obj, pad: str | None = "") -> str:
-    """json.dumps(obj, sort_keys=True) indented by 2 from indentation pad, or on
-    one line when pad is None; a _Matrix fills one template with its entries."""
+    """json.dumps(obj, sort_keys=True) indented by 2 from indentation pad, with
+    non-finite floats as null, or on one line when pad is None; a _Matrix
+    fills one template with its entries."""
     inner = None if pad is None else pad + "  "
     if isinstance(obj, _Matrix):
         pair = _seq(["%s", "%s"], None if pad is None else inner + "  ")
@@ -64,6 +65,8 @@ def _dumps(obj, pad: str | None = "") -> str:
         return _seq([f"{key[k]}: {_dumps(obj[k], inner)}" for k in sorted(obj)], pad, "{}")
     if isinstance(obj, (list, tuple)):
         return _seq([_dumps(v, inner) for v in obj], pad)
+    if pad is not None and isinstance(obj, float) and not isfinite(obj):
+        return "null"  # JSON has no Infinity or NaN; the one-line text layout keeps them
     return json.dumps(obj)
 
 

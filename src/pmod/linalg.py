@@ -5,8 +5,8 @@ arrays. The eigensolvers and singular values come from ``numpy.linalg``;
 this module adds what the rest of the package relies on around them: input
 gates, deterministic phase and ordering of eigenvectors, positive functional
 calculus, polar decomposition with a deterministic kernel completion,
-Gram-Schmidt bases, and one SVD-based kernel routine behind every nullspace
-and commutation solve. LAPACK non-convergence surfaces as NoConvergence.
+Gram-Schmidt bases, one SVD-based kernel routine behind every nullspace, and
+a certified reduced *-commutant solve. LAPACK failure is NoConvergence.
 
 All rank and kernel decisions are relative to the largest singular value of
 the operand; ``DEFAULT_RTOL`` is the package-wide default gate.
@@ -289,31 +289,101 @@ def commutation_kernel(
     """Frobenius-orthonormal basis of {X : X N_k = M_k X for all k}.
 
     Each pair is (M_k, N_k) with M_k p x p and N_k q x q; X is p x q. The
-    space is the kernel of the stacked linear map X -> (X N_k - M_k X)_k.
-    That (k*p*q) x (p*q) system is never built: R starts as the first pair's
-    block and each further block is folded in as the triangular factor of a
-    QR of [R; block], so R stays square and has the same kernel and singular
-    values as the stack. The kernel is read off R by kernel_basis. Thresholds
-    are anchored to the magnitude of the coefficient matrices, so
-    exactly-intertwined and merely-nearby pairs are separated at rtol
-    relative to the legs rather than to the residual map itself.
+    space is the kernel of T: X -> (X N_k - M_k X)_k at tau = rtol * scale,
+    scale = max_k ||M_k||_F + ||N_k||_F, so exactly-intertwined and
+    merely-nearby pairs are separated relative to the legs, not to T.
+
+    A list whose second half is exactly the adjoints of its first (a
+    *-intertwiner solve) takes a reduced route. Every kernel X also has
+    X h = h' X for the Hermitian h = sum_k c_k N_k, h' = sum_k c_k M_k, with
+    seeded random c_k, conjugated on the adjoint half. So X = V' Y V* in
+    their eigenbases, with Y on the u entries |lambda_j - lambda'_i| <= g:
+    about d unknowns for an irreducible module instead of d^2, folded pair by
+    pair into a u x u factor. Certificate: with g_x the smallest excluded
+    gap, delta = ||c|| tau / g_x, t >= ||T|| and F = (1 + t ||c|| / g_x) /
+    sqrt(1 - delta^2), min-max gives k_lo <= dim ker(T) <= k_hi for the
+    counts of reduced singular values <= tau and <= F tau. Only if they
+    agree (and delta < 1/2) are the k_lo reduced kernel vectors returned;
+    g sets how often that happens, never the answer.
+
+    Other lists, and failed certificates, take the fold: the (k*p*q) x (p*q)
+    system is never built; R starts as the first pair's block and each
+    further block is folded in as the triangular factor of a QR of
+    [R; block], so R stays square with the stack's kernel and singular
+    values, and the kernel is read off R by kernel_basis.
     """
     if not pairs:
         raise ValueError("need at least one pair")
     p = pairs[0][0].shape[0]
     q = pairs[0][1].shape[0]
+    if any(mk.shape != (p, p) or nk.shape != (q, q) for mk, nk in pairs):
+        raise ShapeMismatch("inconsistent shapes across commutation pairs")
+    norms = [frobenius(mk) + frobenius(nk) for mk, nk in pairs]
+    scale = max(1e-300, *norms)
+    half = len(pairs) // 2
+    closed = len(pairs) == 2 * half and np.isfinite(sum(norms)) and all(
+        np.array_equal(mj, dagger(mk)) and np.array_equal(nj, dagger(nk))
+        for (mk, nk), (mj, nj) in zip(pairs[:half], pairs[half:])
+    )
+    basis = _reduced_kernel(pairs, rtol * scale) if closed else None
+    return _fold_kernel(pairs, rtol, scale) if basis is None else basis
+
+
+def _fold_kernel(pairs, rtol: float, scale: float) -> list[np.ndarray]:
+    """commutation_kernel on all p*q unknowns."""
+    p = pairs[0][0].shape[0]
+    q = pairs[0][1].shape[0]
     eye_p = np.eye(p, dtype=np.complex128)
     eye_q = np.eye(q, dtype=np.complex128)
     r = None
-    scale = 1e-300
     for mk, nk in pairs:
-        if mk.shape != (p, p) or nk.shape != (q, q):
-            raise ShapeMismatch("inconsistent shapes across commutation pairs")
         block = np.kron(eye_p, nk.T) - np.kron(mk, eye_q)
         r = block if r is None else np.linalg.qr(np.vstack([r, block]), mode="r")
-        scale = max(scale, frobenius(mk) + frobenius(nk))
     null = kernel_basis(r, rtol, scale=scale)
     return [null[:, j].reshape(p, q) for j in range(null.shape[1])]
+
+
+def _reduced_kernel(pairs, tau: float) -> list[np.ndarray] | None:
+    """commutation_kernel of an adjoint-closed list on the spectral support
+    of a random Hermitian pair combination; None when not certified."""
+    half = len(pairs) // 2
+    rng = np.random.default_rng(0)
+    c = rng.standard_normal(half) + 1j * rng.standard_normal(half)
+    hm = sum(ck * mk for ck, (mk, _) in zip(c, pairs))
+    hn = sum(ck * nk for ck, (_, nk) in zip(c, pairs))
+    lam_m, vm = _lapack(np.linalg.eigh, hm + dagger(hm))
+    lam_n, vn = _lapack(np.linalg.eigh, hn + dagger(hn))
+    gaps = np.abs(lam_n[None, :] - lam_m[:, None])
+    c_norm = np.sqrt(2.0) * np.linalg.norm(c)
+    # Support threshold: the geometric mean of the kernel's spectral drift
+    # ||c|| tau and the widest gap, which keeps delta small.
+    g = np.sqrt(c_norm * tau * gaps.max(initial=tau))
+    rows, cols = np.nonzero(gaps <= g)
+    g_x = gaps[gaps > g].min(initial=np.inf)
+    delta = c_norm * tau / g_x
+    if delta >= 0.5:
+        return None
+    # ||T|| <= (sum_k (||M_k|| + ||N_k||)^2)^(1/2).
+    t = np.sqrt(sum((frobenius(mk) + frobenius(nk)) ** 2 for mk, nk in pairs))
+    f = (1.0 + t * c_norm / g_x) / np.sqrt(1.0 - delta**2)
+    p, q = gaps.shape
+    u = np.arange(rows.size)
+    r = None
+    for mk, nk in pairs:
+        block = np.zeros((p, q, u.size), dtype=np.complex128)
+        block[rows, :, u] = (dagger(vn) @ nk @ vn)[cols]
+        block[:, cols, u] -= (dagger(vm) @ mk @ vm)[:, rows]
+        block = np.linalg.qr(block.reshape(p * q, u.size), mode="r")
+        r = block if r is None else np.linalg.qr(np.vstack([r, block]), mode="r")
+    _, sigma, vh = _lapack(np.linalg.svd, r, full_matrices=False)
+    if np.count_nonzero(sigma <= tau) != np.count_nonzero(sigma <= f * tau):
+        return None
+    out = []
+    for y in vh[sigma <= tau].conj():
+        x = np.zeros((p, q), dtype=np.complex128)
+        x[rows, cols] = y
+        out.append(vm @ x @ dagger(vn))
+    return out
 
 
 def cluster_runs(values: np.ndarray, gap: float) -> list[tuple[int, int]]:

@@ -1,6 +1,7 @@
 """File format and CLI contract tests."""
 
 import contextlib
+import io
 import json
 
 import numpy as np
@@ -432,6 +433,24 @@ def test_cli_validate_reports_failure(files, capsys, tmp_path):
     assert "1.0" in out
 
 
+def test_cli_validate_overflow_is_standard_json(capsys, tmp_path, recwarn):
+    # Squares of 1e155 leave the float range: the residual is infinite, which
+    # JSON writes as null; the text layout still reads Infinity.
+    bad = tmp_path / "huge.json"
+    bad.write_text('{"arity":2,"dim":1,"legs":[[[[1e155,0]]],[[[0.5,0]]]]}')
+    code, out, _ = run_cli(capsys, "validate", str(bad), "--format", "json")
+
+    def reject(name):
+        raise AssertionError(f"non-standard JSON constant {name}")
+
+    assert code == 1
+    assert json.loads(out, parse_constant=reject)["residual"] is None
+    code, out, _ = run_cli(capsys, "validate", str(bad))
+    assert code == 1
+    assert out == 'passed: false\nresidual: Infinity\ntol: 1e-09\ntype: "validation"\n'
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_cli_fuse_and_roundtrip(files, capsys):
     _, write = files
     a = write("a.json", families.random_module(2, "N", seed=1))
@@ -688,3 +707,56 @@ def test_cli_sample_records_metadata(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["metadata"] == {"class_tag": "M", "seed": 4}
+
+
+# main() over every subcommand, on small valid and malformed files and bad
+# numeric arguments. A ("file", text) item is written to a file whose path
+# takes its place; ("file", None) names a missing file. prime-words lengths
+# and word-length caps stay small so that no example can run long.
+_module_texts = [
+    fileio.serialize_module(m)
+    for m in (
+        core.unit_module(),
+        families.random_module(2, seed=3),
+        families.random_module(3, "M", seed=4, zero_eigenvalues=1),
+        families.atomic_module(families.AtomicLabel("01", 1j)),
+    )
+]
+_main_files = st.one_of(
+    st.sampled_from(_module_texts),  # its own branch, so that most draws run an operation
+    st.sampled_from(['{"arity":2,"dim":1,"legs":[[[[1e155,0]]],[[[0.5,0]]]]}', '{"arity":2', ""]),
+    _modules.map(_json_text),
+    _values.map(_json_text),
+).map(lambda text: ("file", text)) | st.just(("file", None))
+_numbers = st.sampled_from(["1", "2", "0", "3", "-1", "nan", "1e300", "x", ""])
+_main_argv = st.one_of(
+    st.tuples(st.sampled_from(["validate", "dual"]), _main_files),
+    st.tuples(st.sampled_from(["fuse", "kfuse", "d2-fuse"]), _main_files, _main_files),
+    st.tuples(st.just("decompose"), _main_files, st.just("--seed"), _numbers),
+    st.tuples(st.just("equiv"), _main_files, _main_files, st.just("--seed"), _numbers),
+    st.tuples(st.sampled_from(["classify", "atomic"]), _main_files, st.just("--max-word-len"), _numbers),
+    st.tuples(st.just("gp-fuse"), st.just("--z"), _gp_vectors.map(_json_text), st.just("--zt"),
+              _gp_vectors.map(_json_text)),
+    st.tuples(st.just("sample"), st.just("--dim"), _numbers, st.just("--seed"), _numbers,
+              st.just("--zeros"), _numbers, st.just("--class-tag"), st.sampled_from(["M", "N", "X"])),
+    st.tuples(st.just("prime-words"), st.sampled_from(["-1", "0", "1", "5", "12", "x", "1.5"])),
+    st.lists(st.sampled_from(["validate", "--tol", "--format", "xml", "-h", "nope", "1"]), max_size=3),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(argv=_main_argv, fmt=st.sampled_from(["text", "json"]),
+       tol=st.sampled_from(["1e-9", "1e-7", "0", "-1", "nan", "inf", "1e-300", "x"]))
+def test_main_fuzz(tmp_path_factory, argv, tol, fmt):
+    folder = tmp_path_factory.getbasetemp()
+    args = []
+    for k, arg in enumerate(argv):
+        if isinstance(arg, tuple):
+            path = folder / ("missing/none.json" if arg[1] is None else f"main_fuzz{k}.json")
+            if arg[1] is not None:
+                path.write_text(arg[1])
+            arg = str(path)
+        args.append(arg)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([*args, "--tol", tol, "--format", fmt])
+    assert code in (0, 1, 2)

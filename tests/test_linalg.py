@@ -13,7 +13,7 @@ from pmod.errors import (
     SingularOperand,
 )
 
-from conftest import random_unitary
+from conftest import random_unitary, shared_eigenline_module
 
 
 def rand_hermitian(rng, n):
@@ -269,3 +269,91 @@ def test_eig_general_defective_input_is_usable():
     vals, vecs = la.eig_general(m)
     assert np.all(np.isfinite(vecs))
     assert np.allclose(vals, 0)
+
+
+def _star_pairs(m, mt):
+    pairs = [(y, x) for x, y in zip(m.legs, mt.legs)]
+    return pairs + [(y.conj().T, x.conj().T) for y, x in pairs]
+
+
+def _reduced_battery():
+    """(name, m, mt) pairs: Hom(m, mt) of each is a *-intertwiner solve."""
+    rng = np.random.default_rng(31)
+    conj = lambda m: core.conjugate(m, random_unitary(rng, m.dim))
+    atom = families.atomic_module(families.AtomicLabel("01", np.exp(0.7j)))
+    prod = core.boxtimes(families.random_module(3, seed=1), families.random_module(3, seed=2))
+    other = core.boxtimes(families.random_module(3, seed=3), families.random_module(3, seed=4))
+    s7 = core.direct_sum(core.direct_sum(atom, atom), families.random_module(3, seed=5))
+    units = core.direct_sum(core.unit_module(), core.unit_module())
+    uus = core.direct_sum(units, core.scalar_module(0.6, 0.8))
+    class_m = families.random_module(5, "M", seed=6, zero_eigenvalues=2)
+    arity4 = core.kawamura_tensor(families.random_module(2, seed=7), families.random_module(2, seed=8))
+    shared = shared_eigenline_module()
+    return [
+        ("product", prod, conj(prod)),
+        ("2 x 01(phi) + N(3)", s7, conj(s7)),
+        ("unit + unit + s", uus, conj(uus)),
+        ("class M, zero eigenvalues", class_m, conj(class_m)),
+        ("shared eigenline", shared, conj(shared)),
+        ("arity 4", arity4, conj(arity4)),
+        ("inequivalent products", prod, conj(other)),
+        ("N(3) into 2 x 01(phi) + N(3)", families.random_module(3, seed=5), conj(s7)),
+    ]
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-13, 1e-11, 1e-10])
+def test_reduced_commutation_kernel_matches_fold(noise):
+    rng = np.random.default_rng(int(noise * 1e15) + 1)
+    for name, m, mt in _reduced_battery():
+        legs = [y + noise * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
+                for y in mt.legs]
+        pairs = _star_pairs(m, core.PModule(legs=tuple(legs)))
+        scale = max(np.linalg.norm(y) + np.linalg.norm(x) for y, x in pairs)
+        tau = la.DEFAULT_RTOL * scale
+        assert noise or la._reduced_kernel(pairs, tau) is not None, name
+        basis = la.commutation_kernel(pairs)
+        assert len(basis) == len(la._fold_kernel(pairs, la.DEFAULT_RTOL, scale)), name
+        # At noise 1e-10 the legs' own defect puts true intertwiners near tau.
+        bound = 1e-9 if noise <= 1e-11 else tau
+        for x in basis:
+            assert max(np.linalg.norm(x @ n - y @ x) for y, n in pairs) <= bound, name
+        vecs = np.array([x.ravel() for x in basis] or np.zeros((0, 1)))
+        assert np.linalg.norm(vecs.conj() @ vecs.T - np.eye(len(basis))) <= 1e-10, name
+
+
+def test_reduced_commutation_kernel_falls_back_in_grey_zone(monkeypatch):
+    # Noise of half of rtol leaves the star commutant of 2 x 01(phi) + N(3)
+    # with singular values just below the threshold; restricted to the
+    # spectral support they may land on either side of it, so the certificate
+    # cannot tell and the fold decides.
+    atom = families.atomic_module(families.AtomicLabel("01", np.exp(0.7j)))
+    m = core.direct_sum(core.direct_sum(atom, atom), families.random_module(3, seed=5))
+    rng = np.random.default_rng(9)
+    m = core.conjugate(m, random_unitary(rng, m.dim))
+    legs = [x + 5e-10 * (rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape))
+            for x in m.legs]
+    pairs = _star_pairs(m, core.PModule(legs=tuple(legs)))
+    scale = max(np.linalg.norm(a) + np.linalg.norm(b) for a, b in pairs)
+    assert la._reduced_kernel(pairs, la.DEFAULT_RTOL * scale) is None
+    folds = []
+    fold = la._fold_kernel
+    monkeypatch.setattr(la, "_fold_kernel", lambda *a: folds.append(1) or fold(*a))
+    basis = la.commutation_kernel(pairs)
+    assert folds == [1]
+    want = fold(pairs, la.DEFAULT_RTOL, scale)
+    assert len(basis) == len(want) == 5
+    assert all(np.array_equal(x, y) for x, y in zip(basis, want))
+
+
+def test_reduced_commutation_kernel_needs_no_fold_on_clean_input(monkeypatch):
+    folds = []
+    fold = la._fold_kernel
+    monkeypatch.setattr(la, "_fold_kernel", lambda *a: folds.append(1) or fold(*a))
+    prod = core.boxtimes(families.random_module(4, seed=1), families.random_module(4, seed=2))
+    rng = np.random.default_rng(16)
+    pc = core.conjugate(prod, random_unitary(rng, prod.dim))
+    basis = la.commutation_kernel(_star_pairs(prod, pc))
+    assert folds == []
+    assert len(basis) == 1
+    x = basis[0]
+    assert max(np.linalg.norm(x @ a - b @ x) for a, b in zip(prod.legs, pc.legs)) <= 1e-9

@@ -124,10 +124,9 @@ def conjugate(m: PModule, u: np.ndarray) -> PModule:
 
 def flip_permutation(d1: int, d2: int) -> np.ndarray:
     """Unitary C^d1 (x) C^d2 -> C^d2 (x) C^d1, e_i (x) e_j -> e_j (x) e_i."""
+    i, j = np.divmod(np.arange(d1 * d2), d2)
     p = np.zeros((d1 * d2, d1 * d2), dtype=np.complex128)
-    for i in range(d1):
-        for j in range(d2):
-            p[j * d1 + i, i * d2 + j] = 1.0
+    p[j * d1 + i, i * d2 + j] = 1.0
     return p
 
 
@@ -256,8 +255,7 @@ def duality_check(m: PModule, rtol: float = la.DEFAULT_RTOL) -> DualityReport:
     left = boxtimes(md, m, rtol)  # dual (x) m
     right = boxtimes(m, md, rtol)  # m (x) dual
     ev = np.zeros((1, d * d), dtype=np.complex128)
-    for i in range(d):
-        ev[0, i * d + i] = 1.0
+    ev[0, np.arange(d) * (d + 1)] = 1.0
     coev = ev.conj().T.copy()
 
     ev2 = float((ev @ la.dagger(ev))[0, 0].real)

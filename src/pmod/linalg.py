@@ -99,8 +99,8 @@ def hermitian_eig(m: np.ndarray, rtol: float = DEFAULT_RTOL) -> HermEig:
     Raises NotHermitian if ||m - m*||_F > rtol * ||m||_F and NoConvergence if
     LAPACK does not converge. Output is deterministic for identical input:
     eigenvalues ascending, eigenvectors phase-normalized so the first
-    non-negligible coordinate is positive real, exact ties ordered by the
-    index of that coordinate.
+    coordinate above 1e-12 is positive real, exact ties ordered by the index
+    of that coordinate and then by the coordinates rounded to 10 digits.
     """
     m = as_matrix(m)
     n = _check_square(m)
@@ -111,21 +111,23 @@ def hermitian_eig(m: np.ndarray, rtol: float = DEFAULT_RTOL) -> HermEig:
             f"(defect {frobenius(m - dagger(m)):.3e})"
         )
     values, vectors = _lapack(np.linalg.eigh, (m + dagger(m)) / 2.0)
-
-    # Deterministic phase: first coordinate above threshold made positive real.
-    keys = []
-    for j in range(n):
-        col = vectors[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        fnz = int(nz[0]) if nz.size else 0
-        if nz.size and abs(col[fnz]) > 0:
-            vectors[:, j] = col * (np.conj(col[fnz]) / abs(col[fnz]))
-        rounded = tuple(
-            (round(float(x.real), 10), round(float(x.imag), 10)) for x in vectors[:, j]
-        )
-        keys.append((float(values[j]), fnz, rounded))
-    order = sorted(range(n), key=lambda j: keys[j])
+    lead = _fix_phases(vectors)
+    # np.lexsort takes its last key as primary: value, then leading index,
+    # then each coordinate's rounded re and im in turn.
+    coords = np.round(np.stack([vectors.real, vectors.imag], axis=1).reshape(2 * n, n), 10)
+    order = np.lexsort(np.vstack([coords[::-1], lead, values]))
     return HermEig(values=values[order], vectors=np.ascontiguousarray(vectors[:, order]))
+
+
+def _fix_phases(vectors: np.ndarray) -> np.ndarray:
+    """Make each unit column's first coordinate above 1e-12 positive real, in
+    place, and return the index of that coordinate per column."""
+    if not vectors.size:
+        return np.zeros(0, dtype=np.intp)
+    lead = np.argmax(np.abs(vectors) > 1e-12, axis=0)
+    top = vectors[lead, np.arange(lead.size)]
+    vectors *= np.conj(top) / np.abs(top)
+    return lead
 
 
 def psd_funcalc(
@@ -167,8 +169,11 @@ def psd_funcalc(
 def gram_schmidt(
     columns: np.ndarray, against: np.ndarray | None = None, keep: float = _GS_KEEP
 ) -> np.ndarray:
-    """Orthonormalize columns (twice-through MGS), dropping near-dependent ones.
+    """Orthonormalize columns, dropping near-dependent ones.
 
+    Classical Gram-Schmidt with one reorthogonalization (CGS2, "twice is
+    enough") against one preallocated block: two matrix-vector products per
+    column. A column is kept when its residual exceeds keep * its norm.
     ``against`` is an already-orthonormal basis the result must also be
     orthogonal to. Column order is preserved, which keeps the result
     deterministic.
@@ -176,32 +181,31 @@ def gram_schmidt(
     columns = np.asarray(columns, dtype=np.complex128)
     if columns.ndim == 1:
         columns = columns[:, None]
-    dim = columns.shape[0]
-    accepted: list[np.ndarray] = []
-    base = [] if against is None else [against[:, j] for j in range(against.shape[1])]
-    for j in range(columns.shape[1]):
-        v = columns[:, j].copy()
-        ref = np.linalg.norm(v)
+    dim, count = columns.shape
+    base = 0 if against is None else against.shape[1]
+    # Rows of q are the basis vectors, so every prefix q[:k] is contiguous.
+    q = np.empty((base + count, dim), dtype=np.complex128)
+    if base:
+        q[:base] = against.T
+    k = base
+    for v, ref in zip(columns.T, np.linalg.norm(columns, axis=0)):
+        if k == dim:
+            break
         if ref == 0.0:
             continue
         for _ in range(2):
-            for u in base:
-                v -= u * np.vdot(u, v)
-            for u in accepted:
-                v -= u * np.vdot(u, v)
+            v = v - (q[:k] @ v.conj()).conj() @ q[:k]
         nrm = np.linalg.norm(v)
         if nrm > keep * ref:
-            accepted.append(v / nrm)
-    if not accepted:
-        return np.zeros((dim, 0), dtype=np.complex128)
-    return np.column_stack(accepted)
+            q[k] = v / nrm
+            k += 1
+    return np.ascontiguousarray(q[base:k].T)
 
 
 def complete_basis(q: np.ndarray, dim: int) -> np.ndarray:
     """Orthonormal complement of the columns of q, built from standard basis
     vectors in ascending index order (deterministic)."""
-    eye = np.eye(dim, dtype=np.complex128)
-    return gram_schmidt(eye, against=q if q.shape[1] else None)
+    return gram_schmidt(np.eye(dim, dtype=np.complex128), against=q)
 
 
 def kernel_basis(
@@ -233,7 +237,7 @@ def kernel_basis(
     return np.ascontiguousarray(dagger(vh[padded <= thr]))
 
 
-def singular_extremes(m: np.ndarray, rtol: float = DEFAULT_RTOL) -> tuple[float, float]:
+def singular_extremes(m: np.ndarray) -> tuple[float, float]:
     """(smallest, largest) singular value of m."""
     sigma = _lapack(np.linalg.svd, as_matrix(m), compute_uv=False)
     return float(sigma[-1]), float(sigma[0])
@@ -249,7 +253,7 @@ def is_invertible(m: np.ndarray, rtol: float = DEFAULT_RTOL) -> bool:
     The gate is floored at _GRAM_FLOOR, the rank floor polar uses, so an
     invertible verdict also means full rank to polar.
     """
-    smin, smax = singular_extremes(m, rtol)
+    smin, smax = singular_extremes(m)
     return smax > 0.0 and smin > max(m.shape[0] * rtol, _GRAM_FLOOR) * smax
 
 
@@ -275,6 +279,8 @@ def polar(m: np.ndarray, rtol: float = DEFAULT_RTOL) -> PolarPair:
     # Columns of w are the left singular vectors over the co-kernel.
     w = m @ (qr / sigma[keep])
     u = w @ dagger(qr)
+    if keep.all():
+        return PolarPair(unitary=u, positive=positive)
     k1 = complete_basis(qr, n)  # ker |m|
     k2 = complete_basis(gram_schmidt(w), n)  # ker |m*|
     r = min(k1.shape[1], k2.shape[1])
@@ -388,13 +394,10 @@ def _reduced_kernel(pairs, tau: float) -> list[np.ndarray] | None:
 
 def cluster_runs(values: np.ndarray, gap: float) -> list[tuple[int, int]]:
     """[start, stop) runs of ascending values separated by gaps <= gap."""
-    runs = []
-    start = 0
-    for i in range(1, values.size + 1):
-        if i == values.size or values[i] - values[i - 1] > gap:
-            runs.append((start, i))
-            start = i
-    return runs
+    if not values.size:
+        return []
+    bounds = [0, *(np.flatnonzero(np.diff(values) > gap) + 1).tolist(), values.size]
+    return list(zip(bounds, bounds[1:]))
 
 
 def commuting_hermitian_eig(
@@ -430,7 +433,7 @@ def unitary_eig(v: np.ndarray, rtol: float = DEFAULT_RTOL) -> tuple[np.ndarray, 
     t = (v - dagger(v)) / 2.0j
     _, _, q = commuting_hermitian_eig(s, t, rtol)
     raw = np.diag(dagger(q) @ v @ q)
-    order = sorted(range(raw.size), key=lambda j: (np.angle(raw[j]), j))
+    order = np.argsort(np.angle(raw), kind="stable")
     return raw[order], np.ascontiguousarray(q[:, order])
 
 
@@ -438,20 +441,15 @@ def eig_general(m: np.ndarray, rtol: float = DEFAULT_RTOL) -> tuple[np.ndarray, 
     """Eigenvalues and unit right eigenvectors of a general complex matrix.
 
     ``numpy.linalg.eig``; NoConvergence if LAPACK does not converge. Each
-    eigenvector is phase-normalized so its first non-negligible coordinate is
+    eigenvector is phase-normalized so its first coordinate above 1e-12 is
     positive real, and pairs are ordered by (real, imaginary) part of the
-    eigenvalue. Eigenvectors of clustered or defective spectra are
-    best-effort seeds, not certified output.
+    eigenvalue rounded to 12 digits, then by LAPACK's order. Eigenvectors of
+    clustered or defective spectra are best-effort seeds, not certified
+    output.
     """
     m = as_matrix(m)
-    n = _check_square(m)
+    _check_square(m)
     values, vectors = _lapack(np.linalg.eig, m)
-    for k in range(n):
-        v = vectors[:, k]
-        nz = np.flatnonzero(np.abs(v) > 1e-12)
-        if nz.size:
-            vectors[:, k] = v * (np.conj(v[nz[0]]) / abs(v[nz[0]]))
-    order = sorted(
-        range(n), key=lambda j: (round(values[j].real, 12), round(values[j].imag, 12), j)
-    )
+    _fix_phases(vectors)
+    order = np.lexsort((np.round(values.imag, 12), np.round(values.real, 12)))
     return values[order], np.ascontiguousarray(vectors[:, order])

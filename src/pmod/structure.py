@@ -219,7 +219,9 @@ def atomic_part(
                             isometry=carrier,
                         )
                     )
-                    claimed = la.gram_schmidt(np.column_stack([claimed, carrier]))
+                    claimed = np.column_stack(
+                        [claimed, la.gram_schmidt(carrier, against=claimed)]
+                    )
         if len(word) < max_len:
             for digit in ("1", "0"):
                 child_prefix = m.legs[int(digit)] @ prefix
@@ -296,19 +298,17 @@ def _complete_and_atoms(
             continue
         seeds.extend(vecs[:, j] for j in range(vecs.shape[1]))
     for seed in seeds:
-        if v.shape[1]:
-            resid = seed - v @ (la.dagger(v) @ seed)
-            if np.linalg.norm(resid) < 1e-7:
-                continue
+        if np.linalg.norm(seed - v @ (la.dagger(v) @ seed)) < 1e-7:
+            continue
         piece = _minimal_invariant_from(m, seed, rtol)
         if piece.shape[1] == 0:
             continue
         pieces.append(piece)
-        v = la.gram_schmidt(np.column_stack([v, piece])) if v.shape[1] else piece
+        v = np.column_stack([v, la.gram_schmidt(piece, against=v)])
 
     # Forced completion: exact certificate drives the loop.
     while True:
-        comp = la.complete_basis(v, d) if v.shape[1] else eye
+        comp = la.complete_basis(v, d)
         if comp.shape[1] == 0:
             break
         rem = largest_invariant_in(m, comp, rtol)
@@ -324,7 +324,7 @@ def _complete_and_atoms(
         if piece.shape[1] == 0:
             piece = rem
         pieces.append(piece)
-        v = la.gram_schmidt(np.column_stack([v, piece])) if v.shape[1] else piece
+        v = np.column_stack([v, la.gram_schmidt(piece, against=v)])
 
     all_one_dim = all(p.shape[1] == 1 for p in pieces)
     if v.shape[1] == d or all_one_dim or v.shape[1] == exact_dim:

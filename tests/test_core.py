@@ -226,6 +226,15 @@ def test_boxtimes_flip_symmetry_seeded():
         assert leg_defect(flipped, ba) <= 1e-10
 
 
+def test_flip_permutation_matches_loop_reference():
+    for d1, d2 in ((1, 1), (1, 4), (3, 2), (4, 5)):
+        ref = np.zeros((d1 * d2, d1 * d2), dtype=np.complex128)
+        for i in range(d1):
+            for j in range(d2):
+                ref[j * d1 + i, i * d2 + j] = 1.0
+        assert np.array_equal(core.flip_permutation(d1, d2), ref)
+
+
 def test_boxtimes_conjugation_stability():
     rng = np.random.default_rng(11)
     m = families.random_module(2, "M", seed=800)

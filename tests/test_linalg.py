@@ -271,6 +271,69 @@ def test_eig_general_defective_input_is_usable():
     assert np.allclose(vals, 0)
 
 
+def test_gram_schmidt_and_complete_basis():
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    q, r = np.linalg.qr(a)
+    diag = np.diag(r)
+    assert np.max(np.abs(la.gram_schmidt(a) - q * (diag / np.abs(diag)))) < 1e-12
+
+    # Residual 1e-7 * ||v|| off span(q) is dependent; 1e-5 * ||v|| is not.
+    u = q[:, :3]
+    w = la.complete_basis(q, 6)[:, 0]
+    for eps, kept in ((1e-7, 3), (1e-5, 4)):
+        v = u @ np.array([1.0, 2.0, -1.0j])
+        v = v + eps * np.linalg.norm(v) * w
+        assert la.gram_schmidt(np.column_stack([u, v])).shape == (6, kept)
+
+    against = q[:, 2:]
+    g = la.gram_schmidt(rng.standard_normal((6, 5)), against=against)
+    assert g.shape == (6, 4)
+    assert np.linalg.norm(against.conj().T @ g) < 1e-12
+    assert np.linalg.norm(g.conj().T @ g - np.eye(4)) < 1e-12
+
+    assert la.complete_basis(np.eye(5, dtype=complex), 5).shape == (5, 0)
+    line = np.array([[1.0], [1.0], [0.0]], dtype=complex) / np.sqrt(2)
+    expected = np.array([[1 / np.sqrt(2), 0], [-1 / np.sqrt(2), 0], [0, 1]])
+    assert np.max(np.abs(la.complete_basis(line, 3) - expected)) < 1e-15
+
+
+def _leading_entries_positive(vectors):
+    for col in vectors.T:
+        lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
+        assert lead.real > 0 and lead.imag == 0
+
+
+def test_eigensolver_ordering_conventions():
+    s = 1 / np.sqrt(2)
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    # (matrix, values, vectors) captured from the reference implementation.
+    herm = [
+        (np.eye(3), [1, 1, 1], np.eye(3)),
+        (np.kron(np.eye(2), swap), [-1, -1, 1, 1],
+         s * np.array([[1, 0, 1, 0], [-1, 0, 1, 0], [0, 1, 0, 1], [0, -1, 0, 1]])),
+        (np.diag([2.0, 1.0, 1.0]), [1, 1, 2], np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]])),
+    ]
+    for m, values, vectors in herm:
+        e = la.hermitian_eig(m.astype(complex))
+        assert np.array_equal(e.values, values)
+        assert np.max(np.abs(e.vectors - vectors)) < 1e-15
+        _leading_entries_positive(e.vectors)
+
+    vals, vecs = la.eig_general(np.diag([1 + 1j, 1 - 1j, -2, 1j, 0.5]))
+    assert np.array_equal(vals, [-2, 1j, 0.5, 1 - 1j, 1 + 1j])
+    assert np.array_equal(vecs, np.eye(5)[:, [2, 3, 4, 1, 0]])
+
+    angles = np.array([2.5, -1.0, 0.3, -3.0, 1.0])
+    vals, vecs = la.unitary_eig(np.diag(np.exp(1j * angles)))
+    assert np.allclose(np.angle(vals), [-3.0, -1.0, 0.3, 1.0, 2.5], atol=1e-12)
+    assert np.max(np.abs(vecs - np.eye(5)[:, [3, 1, 2, 4, 0]])) < 1e-12
+
+    runs = la.cluster_runs(np.array([0, 1e-9, 1, 1.5, 1.5 + 1e-10, 3]), 1e-8)
+    assert runs == [(0, 2), (2, 3), (3, 5), (5, 6)]
+    assert la.cluster_runs(np.array([]), 1e-8) == []
+
+
 def _star_pairs(m, mt):
     pairs = [(y, x) for x, y in zip(m.legs, mt.legs)]
     return pairs + [(y.conj().T, x.conj().T) for y, x in pairs]

@@ -21,12 +21,8 @@ from .errors import NotD2Shape, NotInvertible, NotPrime
 _PHASE_TOL = 1e-6
 
 
-def rotations(word: str):
-    return [word[k:] + word[:k] for k in range(len(word))]
-
-
 def canonical_rotation(word: str) -> str:
-    return min(rotations(word))
+    return min(word[k:] + word[:k] for k in range(len(word)))
 
 
 def is_prime_word(word: str) -> bool:
@@ -40,16 +36,35 @@ def is_prime_word(word: str) -> bool:
     return True
 
 
+def lyndon_walk(max_len: int, grow, root):
+    """Yield (word, state, is_lyndon) over binary prefixes of Lyndon words,
+    depth first in lexicographic order, up to length max_len.
+
+    A child digit may not be below the digit one period back; the period
+    becomes the length when the digit is above it, and a word is Lyndon (the
+    least rotation of a prime word) when its period equals its length
+    (Fredricksen, Kessler & Maiorana; Duval 1983). ``grow(state, digit)``
+    gives a child's state, or None to prune its subtree.
+    """
+    stack = [("", 1, root)]
+    while stack:
+        word, period, state = stack.pop()
+        n = len(word)
+        yield word, state, 0 < n == period
+        if n < max_len:
+            back = word[n - period] if n else "0"
+            for digit in "10" if back == "0" else "1":  # "0" is popped first
+                child = grow(state, digit)
+                if child is not None:
+                    stack.append((word + digit, period if digit == back else n + 1, child))
+
+
 def prime_words(d: int) -> list[str]:
     """Canonical (lexicographically least rotation) prime binary words of length d."""
     if d < 1:
         raise ValueError("word length must be positive")
-    out = []
-    for bits in range(2**d):
-        word = format(bits, f"0{d}b")
-        if word == canonical_rotation(word) and is_prime_word(word):
-            out.append(word)
-    return out
+    walk = lyndon_walk(d, lambda state, digit: state, True)
+    return [word for word, _, lyndon in walk if lyndon and len(word) == d]
 
 
 @dataclass(frozen=True)

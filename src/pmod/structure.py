@@ -5,10 +5,11 @@ orthocomplement contains no nonzero leg-invariant subspace; its dimension is
 the module's intrinsic dimension (invariant under the induced-representation
 functors). There is no closed-form algorithm for it, so the search below
 combines exact ingredients: atomic carriers found through norm-preservation
-kernels, eigenvector closures refined to minimal invariant subspaces, and a
-forced-completion loop whose stopping certificate (largest invariant subspace
-inside the orthocomplement, computed by kernel iteration) is exact. The
-``confidence`` field reports when the result is certified versus heuristic.
+kernels along the prefixes of Lyndon words no longer than d, eigenvector
+closures refined to minimal invariant subspaces, and a forced-completion
+loop whose stopping certificate (largest invariant subspace inside the
+orthocomplement, computed by kernel iteration) is exact. The ``confidence``
+field reports when the result is certified versus heuristic.
 """
 
 from __future__ import annotations
@@ -106,13 +107,9 @@ def closure(m: core.PModule, vectors: np.ndarray, rtol: float = la.DEFAULT_RTOL)
     return q
 
 
-def _restricted_legs(m: core.PModule, q: np.ndarray) -> list[np.ndarray]:
-    qd = la.dagger(q)
-    return [qd @ leg @ q for leg in m.legs]
-
-
 def _restricted_module(m: core.PModule, q: np.ndarray) -> core.PModule:
-    return core.PModule(legs=tuple(_restricted_legs(m, q)))
+    qd = la.dagger(q)
+    return core.PModule(legs=tuple(qd @ leg @ q for leg in m.legs))
 
 
 def _minimal_invariant_from(
@@ -120,22 +117,24 @@ def _minimal_invariant_from(
 ) -> np.ndarray:
     """Refine the closure of a seed vector to a minimal invariant subspace.
 
-    Inside the current closure, eigenvector closures of the restricted legs
-    are tried for a strictly smaller invariant subspace until none is found.
+    Eigenvector closures of the legs restricted to the current closure are
+    tried, in its own coordinates (so each stops once it fills it), for a
+    strictly smaller invariant subspace until none is found.
     """
     cur = closure(m, seed, rtol)
     improved = True
     while improved and cur.shape[1] > 1:
         improved = False
-        for leg_r in _restricted_legs(m, cur):
+        sub = _restricted_module(m, cur)
+        for leg_r in sub.legs:
             try:
                 _, vecs = la.eig_general(leg_r, rtol)
             except la.NoConvergence:
                 continue
             for j in range(vecs.shape[1]):
-                cand = closure(m, cur @ vecs[:, j], rtol)
+                cand = closure(sub, vecs[:, j], rtol)
                 if 0 < cand.shape[1] < cur.shape[1]:
-                    cur = cand
+                    cur = cur @ cand
                     improved = True
                     break
             if improved:
@@ -166,68 +165,60 @@ def atomic_part(
 ) -> list[AtomicSummand]:
     """Atomic summands: carriers on which some periodic word acts isometrically.
 
-    Walks the binary prefix tree keeping, at each node, the subspace on which
-    every prefix of the word preserves the norm; the tree prunes itself as
-    soon as that subspace dies. At canonical prime words the surviving
-    subspace is stabilized under the word operator, on which the word acts
-    unitarily; its eigenvectors (unit-modulus eigenvalues by construction)
-    generate the carriers, one summand per eigenvalue with multiplicity.
+    Walks the prefixes of Lyndon words (``families.lyndon_walk``) keeping,
+    at each node, the subspace on which every prefix of the word preserves
+    the norm, and its image under the prefix; a branch dies with that
+    subspace. At Lyndon words (least rotations of prime words) the subspace
+    is stabilized under the word operator, which acts on it unitarily; its
+    eigenvectors generate the carriers, one summand per unit-modulus
+    eigenvalue with multiplicity. An orbit spans at most d dimensions, so
+    the walk stops at length min(max_len, d): a larger max_len changes
+    nothing.
     """
     if m.arity != 2:
         raise core.ArityUnsupported("atomic_part is defined for two-leg modules")
     d = m.dim
-    if max_len is None:
-        max_len = 2 * d
+    depth = d if max_len is None else min(max_len, d)
     claimed = np.zeros((d, 0), dtype=np.complex128)
     found: list[AtomicSummand] = []
     eye = np.eye(d, dtype=np.complex128)
 
-    # Stack of (word, prefix operator, subspace basis).
-    stack: list[tuple[str, np.ndarray, np.ndarray]] = [("", eye, eye)]
-    while stack:
-        word, prefix, q = stack.pop()
-        if word and word == families.canonical_rotation(word) and families.is_prime_word(word):
-            stable = q
-            while stable.shape[1]:
-                # Keep directions whose image under the word operator stays
-                # inside (the word acts invertibly on the limit subspace).
-                pq = prefix @ stable
-                resid = pq - stable @ (la.dagger(stable) @ pq)
-                coef = la.kernel_basis(resid, rtol, scale=1.0)
-                if coef.shape[1] == stable.shape[1]:
-                    break
-                stable = stable @ coef
-            if stable.shape[1]:
-                w_hat = la.dagger(stable) @ prefix @ stable
-                phases, vecs = la.unitary_eig(w_hat, rtol)
-                prefixes = [eye]
-                for digit in word[:-1]:
-                    prefixes.append(m.legs[int(digit)] @ prefixes[-1])
-                for j in range(vecs.shape[1]):
-                    eta = stable @ vecs[:, j]
-                    if np.linalg.norm(eta - claimed @ (la.dagger(claimed) @ eta)) < 0.5:
-                        continue  # carrier already claimed at this word
-                    orbit = np.column_stack([p @ eta for p in prefixes])
-                    carrier = la.gram_schmidt(orbit)
-                    if carrier.shape[1] != len(word):
-                        continue
-                    if _invariance_defect(m, carrier) > _INV_TOL:
-                        continue
-                    found.append(
-                        AtomicSummand(
-                            label=families.AtomicLabel(word=word, phase=complex(phases[j])),
-                            isometry=carrier,
-                        )
-                    )
-                    claimed = np.column_stack(
-                        [claimed, la.gram_schmidt(carrier, against=claimed)]
-                    )
-        if len(word) < max_len:
-            for digit in ("1", "0"):
-                child_prefix = m.legs[int(digit)] @ prefix
-                coef = _norm_preserving_coefficients(child_prefix @ q, rtol)
-                if coef.shape[1]:
-                    stack.append((word + digit, child_prefix, q @ coef))
+    def grow(state, digit):
+        # State (q, prefix @ q): the norm-preserved subspace and its image.
+        q, pq = state
+        child = m.legs[int(digit)] @ pq
+        coef = _norm_preserving_coefficients(child, rtol)
+        return (q @ coef, child @ coef) if coef.shape[1] else None
+
+    for word, (stable, ps), lyndon in families.lyndon_walk(depth, grow, (eye, eye)):
+        if not lyndon:
+            continue
+        while stable.shape[1]:
+            # Keep directions whose image under the word operator stays
+            # inside (the word acts invertibly on the limit subspace).
+            resid = ps - stable @ (la.dagger(stable) @ ps)
+            coef = la.kernel_basis(resid, rtol, scale=1.0)
+            if coef.shape[1] == stable.shape[1]:
+                break
+            stable = stable @ coef
+            # Recomputed from the word operator, so every pass rounds alike.
+            ps = core.word_operator(m, word) @ stable
+        if not stable.shape[1]:
+            continue
+        phases, vecs = la.unitary_eig(la.dagger(stable) @ ps, rtol)
+        for j in range(vecs.shape[1]):
+            eta = stable @ vecs[:, j]
+            if np.linalg.norm(eta - claimed @ (la.dagger(claimed) @ eta)) < 0.5:
+                continue  # carrier already claimed at this word
+            orbit = [eta]
+            for digit in word[:-1]:
+                orbit.append(m.legs[int(digit)] @ orbit[-1])
+            carrier = la.gram_schmidt(np.column_stack(orbit))
+            if carrier.shape[1] != len(word) or _invariance_defect(m, carrier) > _INV_TOL:
+                continue
+            label = families.AtomicLabel(word=word, phase=complex(phases[j]))
+            found.append(AtomicSummand(label=label, isometry=carrier))
+            claimed = np.column_stack([claimed, la.gram_schmidt(carrier, against=claimed)])
     found.sort(key=lambda s: (len(s.label.word), s.label.word, np.angle(s.label.phase)))
     return found
 
@@ -259,7 +250,8 @@ def complete_submodule(
     subspace, a minimal invariant inside it is added. The final state always
     satisfies the exact completeness certificate; "certified" additionally
     requires the smallest-candidate evidence (class shortcut, whole carrier,
-    or all pieces one-dimensional).
+    or all pieces one-dimensional) and no remainder added whole because its
+    minimal piece fell inside the candidate.
     """
     return _complete_and_atoms(m, max_len, rtol, use_class_shortcut)[0]
 
@@ -272,28 +264,21 @@ def _complete_and_atoms(
     if m.arity != 2:
         raise core.ArityUnsupported("complete_submodule is defined for two-leg modules")
     d = m.dim
-    eye = np.eye(d, dtype=np.complex128)
     if use_class_shortcut and core.in_class_m(m, rtol):
-        return CompletePart(isometry=eye, p_dimension=d, confidence="certified"), None
+        return CompletePart(np.eye(d, dtype=np.complex128), d, "certified"), None
 
     atoms = atomic_part(m, max_len, rtol)
     # Atomic carriers are exact; every other piece must be one-dimensional
     # for the final candidate to count as certified smallest.
     exact_dim = sum(s.isometry.shape[1] for s in atoms)
     pieces: list[np.ndarray] = []
-    v = (
-        la.gram_schmidt(np.hstack([s.isometry for s in atoms]))
-        if atoms
-        else np.zeros((d, 0), dtype=np.complex128)
-    )
+    v = la.gram_schmidt(np.hstack([np.zeros((d, 0))] + [s.isometry for s in atoms]))
 
     # Seed minimal invariant subspaces from eigenvectors of short words.
-    seed_words = [(0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
     seeds: list[np.ndarray] = []
-    for word in seed_words:
-        op = core.word_operator(m, word)
+    for word in ("0", "1", "00", "01", "10", "11"):
         try:
-            _, vecs = la.eig_general(op, rtol)
+            _, vecs = la.eig_general(core.word_operator(m, word), rtol)
         except la.NoConvergence:
             continue
         seeds.extend(vecs[:, j] for j in range(vecs.shape[1]))
@@ -307,6 +292,7 @@ def _complete_and_atoms(
         v = np.column_stack([v, la.gram_schmidt(piece, against=v)])
 
     # Forced completion: exact certificate drives the loop.
+    stalled = False
     while True:
         comp = la.complete_basis(v, d)
         if comp.shape[1] == 0:
@@ -314,23 +300,22 @@ def _complete_and_atoms(
         rem = largest_invariant_in(m, comp, rtol)
         if rem.shape[1] == 0:
             break
-        legs_r = _restricted_legs(m, rem)
         try:
-            _, vecs = la.eig_general(legs_r[0], rtol)
+            _, vecs = la.eig_general(la.dagger(rem) @ m.A @ rem, rtol)
             seed = rem @ vecs[:, 0]
         except la.NoConvergence:
             seed = rem[:, 0]
         piece = _minimal_invariant_from(m, seed, rtol)
-        if piece.shape[1] == 0:
-            piece = rem
+        added = la.gram_schmidt(piece, against=v)
+        if added.shape[1] == 0:
+            # The piece fell inside v; rem, in the complement, ends the loop.
+            piece = added = rem
+            stalled = True
         pieces.append(piece)
-        v = np.column_stack([v, la.gram_schmidt(piece, against=v)])
+        v = np.column_stack([v, added])
 
-    all_one_dim = all(p.shape[1] == 1 for p in pieces)
-    if v.shape[1] == d or all_one_dim or v.shape[1] == exact_dim:
-        confidence = "certified"
-    else:
-        confidence = "heuristic"
+    smallest = v.shape[1] in (d, exact_dim) or all(p.shape[1] == 1 for p in pieces)
+    confidence = "certified" if smallest and not stalled else "heuristic"
     return CompletePart(isometry=v, p_dimension=v.shape[1], confidence=confidence), atoms
 
 
@@ -345,7 +330,7 @@ def _diffuse_certificate(
     """
     if q.shape[1] == 0:
         return True
-    legs_r = _restricted_legs(m, q)
+    legs_r = _restricted_module(m, q).legs
     norms = [la.spectral_norm(leg) for leg in legs_r]
     if max(norms) < 1.0 - 1e-7:
         return True
@@ -388,7 +373,6 @@ def classify_parts(
     comp, atoms = _complete_and_atoms(m, max_len, rtol, use_class_shortcut=True)
     if atoms is None:
         atoms = atomic_part(m, max_len, rtol)
-    d = m.dim
     v = comp.isometry
     if atoms:
         c = np.hstack([s.isometry for s in atoms])
@@ -398,7 +382,7 @@ def classify_parts(
         diffuse = v
     atomic_dim = sum(s.isometry.shape[1] for s in atoms)
     diffuse_dim = diffuse.shape[1]
-    residual = d - comp.p_dimension
+    residual = m.dim - comp.p_dimension
 
     confidence = comp.confidence
     if diffuse_dim and (
@@ -523,7 +507,7 @@ def decompose_full(
         k = q.shape[1]
         tag = "unknown"
         label = None
-        atoms = atomic_part(sub, max_len=2 * k, rtol=rtol) if sub.arity == 2 else []
+        atoms = atomic_part(sub, rtol=rtol) if sub.arity == 2 else []
         if atoms and sum(s.isometry.shape[1] for s in atoms) == k:
             tag = "atomic"
             if len(atoms) == 1:

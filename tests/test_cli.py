@@ -616,6 +616,18 @@ def test_cli_atomic_and_kfuse(files, capsys):
     assert json.loads(out)["arity"] == 4
 
 
+def test_cli_atomic_huge_max_word_len(files, capsys):
+    # The walk stops at the carrier dimension, so a huge bound returns at once.
+    _, write = files
+    path = write("atom011.json", families.atomic_module(families.AtomicLabel("011", 1j)))
+    code, out, _ = run_cli(capsys, "atomic", path, "--format", "json")
+    assert code == 0
+    code, huge, _ = run_cli(capsys, "atomic", path, "--max-word-len", "1000000", "--format", "json")
+    assert code == 0
+    assert huge == out
+    assert [s["word"] for s in json.loads(huge)["summands"]] == ["011"]
+
+
 def test_cli_d2_fuse(files, capsys):
     _, write = files
     m, mt = d2_display_pair()

@@ -37,7 +37,7 @@ def test_prime_words_small():
     assert len(families.prime_words(6)) == 9
 
 
-@pytest.mark.parametrize("d", range(1, 13))
+@pytest.mark.parametrize("d", range(1, 15))
 def test_prime_words_match_brute_force(d):
     assert families.prime_words(d) == brute_force_prime_words(d)
 

@@ -104,6 +104,126 @@ def test_atomic_part_multiplicity():
     assert all(p.label.word == "01" and abs(p.label.phase - 1j) < 1e-9 for p in parts)
 
 
+def _full_depth_atomic_part(m, rtol=1e-9):
+    """Reference: the binary prefix tree walked 2d deep over every word, with
+    the prefix operator carried and the prime-word test made per node."""
+    la = structure.la
+    d = m.dim
+    claimed = np.zeros((d, 0), dtype=complex)
+    found = []
+    eye = np.eye(d, dtype=complex)
+    stack = [("", eye, eye)]
+    while stack:
+        word, prefix, q = stack.pop()
+        if word and word == families.canonical_rotation(word) and families.is_prime_word(word):
+            stable = q
+            while stable.shape[1]:
+                pq = prefix @ stable
+                resid = pq - stable @ (la.dagger(stable) @ pq)
+                coef = la.kernel_basis(resid, rtol, scale=1.0)
+                if coef.shape[1] == stable.shape[1]:
+                    break
+                stable = stable @ coef
+            if stable.shape[1]:
+                phases, vecs = la.unitary_eig(la.dagger(stable) @ prefix @ stable, rtol)
+                prefixes = [eye]
+                for digit in word[:-1]:
+                    prefixes.append(m.legs[int(digit)] @ prefixes[-1])
+                for j in range(vecs.shape[1]):
+                    eta = stable @ vecs[:, j]
+                    if np.linalg.norm(eta - claimed @ (la.dagger(claimed) @ eta)) < 0.5:
+                        continue
+                    carrier = la.gram_schmidt(np.column_stack([p @ eta for p in prefixes]))
+                    if carrier.shape[1] != len(word) or structure._invariance_defect(m, carrier) > 1e-8:
+                        continue
+                    found.append((word, complex(phases[j]), carrier.shape[1]))
+                    claimed = np.column_stack([claimed, la.gram_schmidt(carrier, against=claimed)])
+        if len(word) < 2 * d:
+            for digit in ("1", "0"):
+                child_prefix = m.legs[int(digit)] @ prefix
+                coef = structure._norm_preserving_coefficients(child_prefix @ q, rtol)
+                if coef.shape[1]:
+                    stack.append((word + digit, child_prefix, q @ coef))
+    return sorted(found, key=lambda f: (len(f[0]), f[0], np.angle(f[1])))
+
+
+def _seeded_atomic_sum(seed, noise):
+    """Conjugated sum of atoms (words up to length 5, with multiplicity) and a
+    class-N or class-M rest, with optional complex Gaussian entry noise."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for _ in range(rng.integers(1, 4)):
+        word = "0"
+        while not families.is_prime_word(word) or word == "0":
+            word = "".join(rng.choice(["0", "1"], rng.integers(1, 6)))
+        atom = families.atomic_module(families.AtomicLabel(word, np.exp(1j * rng.uniform(-3, 3))))
+        parts += [atom] * int(rng.integers(1, 3))
+    k = int(rng.integers(1, 4))
+    if seed % 2:
+        parts.append(families.random_module(k, "N", seed=seed))
+    else:
+        parts.append(families.random_module(k + 1, "M", seed=seed, zero_eigenvalues=1))
+    m = parts[0]
+    for part in parts[1:]:
+        m = core.direct_sum(m, part)
+    m = core.conjugate(m, random_unitary(rng, m.dim))
+    return core.PModule(legs=tuple(
+        leg + noise * (rng.standard_normal(leg.shape) + 1j * rng.standard_normal(leg.shape))
+        for leg in m.legs
+    ))
+
+
+def test_lyndon_walk_matches_full_depth_walk():
+    for seed in range(12):
+        for noise in (0.0, 1e-11):
+            m = _seeded_atomic_sum(seed, noise)
+            got = [(s.label.word, s.label.phase, s.isometry.shape[1])
+                   for s in structure.atomic_part(m)]
+            want = _full_depth_atomic_part(m)
+            assert [(w, k) for w, _, k in got] == [(w, k) for w, _, k in want], (seed, noise)
+            assert all(abs(a[1] - b[1]) <= 1e-9 for a, b in zip(got, want)), (seed, noise)
+
+
+def _count_norm_preserving(monkeypatch):
+    calls = []
+    solve = structure._norm_preserving_coefficients
+    monkeypatch.setattr(
+        structure, "_norm_preserving_coefficients",
+        lambda *a, **k: calls.append(1) or solve(*a, **k),
+    )
+    return calls
+
+
+def test_atomic_walk_solve_count(monkeypatch):
+    # Only alternating words keep a norm-preserved subspace. Each live
+    # prenecklace shorter than the carrier dimension 7 tries its allowed
+    # digits: "", 0, 01, 0101 and 010101 two each; 1, 010 and 01010 one
+    # each. The 2d-deep walk over every word made 54 solves.
+    rng = np.random.default_rng(14)
+    atom = families.atomic_module(families.AtomicLabel("01", np.exp(0.7j)))
+    m = core.direct_sum(core.direct_sum(atom, atom), families.random_module(3, seed=5))
+    m = core.conjugate(m, random_unitary(rng, m.dim))
+    calls = _count_norm_preserving(monkeypatch)
+    parts = structure.atomic_part(m)
+    assert [(p.label.word, p.isometry.shape[1]) for p in parts] == [("01", 2), ("01", 2)]
+    assert all(abs(p.label.phase - np.exp(0.7j)) < 1e-9 for p in parts)
+    assert len(calls) == 13
+
+
+def test_atomic_part_max_len_above_dim_changes_nothing(monkeypatch):
+    m = families.atomic_module(families.AtomicLabel("011", 1j))
+    calls = _count_norm_preserving(monkeypatch)
+    default = structure.atomic_part(m)
+    default_calls = len(calls)
+    huge = structure.atomic_part(m, max_len=10**6)
+    assert len(calls) == 2 * default_calls <= 20
+    assert [(p.label.word, p.label.phase) for p in huge] == [
+        (p.label.word, p.label.phase) for p in default
+    ]
+    assert len(default) == 1 and abs(default[0].label.phase - 1j) < 1e-12
+    assert structure.atomic_part(m, max_len=2) == []
+
+
 # ---------------------------------------------------------------------------
 # Complete part.
 # ---------------------------------------------------------------------------
@@ -394,6 +514,35 @@ def test_complete_submodule_atomic_plus_residual(monkeypatch):
     rep = structure.classify_parts(m)
     assert (rep.atomic_dim, rep.diffuse_dim, rep.residual_dim) == (2, 1, 1)
     assert len(calls) == 1  # the complete-part search's atomic part is reused
+
+
+def test_forced_completion_ends_within_d_rounds(monkeypatch):
+    # Under 1e-11 noise a minimal invariant piece can fall inside the span
+    # already accepted; the loop then adds the remainder itself and reports
+    # a heuristic result instead of finding the same remainder forever.
+    atoms = [families.atomic_module(families.AtomicLabel(w, np.exp(1j * t)))
+             for w, t in (("0111", 0.3), ("00101", 1.9), ("1", -2.6))]
+    m = core.direct_sum(core.direct_sum(core.direct_sum(*atoms[:2]), atoms[2]),
+                        families.random_module(4, "M", seed=39, zero_eigenvalues=1))
+    rng = np.random.default_rng(39)
+    q, _ = np.linalg.qr(rng.standard_normal((14, 14)) + 1j * rng.standard_normal((14, 14)))
+    clean = core.conjugate(m, q)
+    noisy = core.PModule(legs=tuple(
+        leg + 1e-11 * (rng.standard_normal(leg.shape) + 1j * rng.standard_normal(leg.shape))
+        for leg in clean.legs
+    ))
+    rep = structure.classify_parts(clean)
+    assert sorted(s.label.word for s in rep.atomic) == ["00101", "0111", "1"]
+    assert rep.confidence == "certified"
+    calls = []
+    largest = structure.largest_invariant_in
+    monkeypatch.setattr(
+        structure, "largest_invariant_in", lambda *a, **k: calls.append(1) or largest(*a, **k)
+    )
+    rep = structure.classify_parts(noisy)
+    assert len(calls) <= noisy.dim + 1
+    assert rep.p_dimension + rep.residual_dim == noisy.dim
+    assert rep.confidence == "heuristic"
 
 
 def test_complete_submodule_coupled_residual_column():

@@ -161,21 +161,23 @@ def star(p: np.ndarray, q: np.ndarray, rtol: float = la.DEFAULT_RTOL) -> np.ndar
         raise SingularDenominator(
             f"star denominator numerically singular (min {den.min():.3e})"
         )
-    basis = la.kron(ep.vectors, eq.vectors)
-    out = (basis * (num / np.sqrt(den))) @ la.dagger(basis)
+    w = num / np.sqrt(den)
+    out = _kron_right(la.kron(ep.vectors, eq.vectors) * w, ep.vectors, eq.vectors)
     return (out + la.dagger(out)) / 2.0
 
 
-def boxtimes(m: PModule, mt: PModule, rtol: float = la.DEFAULT_RTOL) -> PModule:
-    """Fusion product of two-leg modules on the Kronecker carrier.
+def _kron_right(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ kron(a, b)* without forming it: each row of x, read as a p x q matrix
+    X (a is m x p, b is n x q), maps to conj(a) X b*, the cheaper factor first."""
+    (m, p), (n, q) = a.shape, b.shape
+    x3 = x.reshape(-1, p, q)
+    if m * q * (p + n) <= n * p * (q + m):
+        return (np.conj(a) @ x3 @ la.dagger(b)).reshape(-1, m * n)
+    return (np.conj(a) @ (x3 @ la.dagger(b))).reshape(-1, m * n)
 
-    Legs are (A x At) K^-1 and (B x Bt) K^-1 with
-    K = sqrt(|A|^2 x |At|^2 + |B|^2 x |Bt|^2); KernelOverlap when K fails the
-    relative invertibility gate (the kernel-overlap condition). K^-1 is
-    evaluated on the product spectrum of the commuting positive parts.
-    """
-    _require_arity2(m, "boxtimes")
-    _require_arity2(mt, "boxtimes")
+
+def _fusion_factors(m: PModule, mt: PModule, rtol: float):
+    """(V, Vt, s): eigenbases of A*A and At*At, and K^-1's gated spectrum on V x Vt."""
     ga = la.hermitian_eig(la.dagger(m.A) @ m.A, rtol)
     gat = la.hermitian_eig(la.dagger(mt.A) @ mt.A, rtol)
     alpha = np.clip(ga.values, 0.0, 1.0)
@@ -186,15 +188,25 @@ def boxtimes(m: PModule, mt: PModule, rtol: float = la.DEFAULT_RTOL) -> PModule:
         raise KernelOverlap(
             f"fusion normalizer singular: min eigenvalue {k2.min():.3e} <= gate {gate:.3e}"
         )
-    basis = la.kron(ga.vectors, gat.vectors)
-    kinv = (basis * (1.0 / np.sqrt(k2))) @ la.dagger(basis)
-    kinv = (kinv + la.dagger(kinv)) / 2.0
-    return PModule(
-        legs=(
-            la.kron(m.A, mt.A) @ kinv,
-            la.kron(m.B, mt.B) @ kinv,
-        )
-    )
+    return ga.vectors, gat.vectors, 1.0 / np.sqrt(k2)
+
+
+def boxtimes(m: PModule, mt: PModule, rtol: float = la.DEFAULT_RTOL) -> PModule:
+    """Fusion product of two-leg modules on the Kronecker carrier.
+
+    Legs are (A x At) K^-1 and (B x Bt) K^-1 with
+    K = sqrt(|A|^2 x |At|^2 + |B|^2 x |Bt|^2); KernelOverlap when K fails the
+    relative invertibility gate (the kernel-overlap condition). K^-1 is
+    diagonal on V x Vt, V and Vt the eigenbases of A*A and At*At, so each leg
+    is evaluated one factor at a time as (X V x Xt Vt) diag(s) (V x Vt)*:
+    no carrier-sized K^-1 or basis, and O(D^2 (d + dt)) work for D = d dt.
+    """
+    _require_arity2(m, "boxtimes")
+    _require_arity2(mt, "boxtimes")
+    v, vt, s = _fusion_factors(m, mt, rtol)
+    return PModule(legs=tuple(
+        _kron_right(la.kron(x @ v, xt @ vt) * s, v, vt) for x, xt in zip(m.legs, mt.legs)
+    ))
 
 
 def direct_sum(m: PModule, mt: PModule) -> PModule:
@@ -220,16 +232,14 @@ def dual_module(m: PModule, rtol: float = la.DEFAULT_RTOL) -> PModule:
     """Coordinate dual (conj(U_A)|B|-bar, conj(U_B)|A|-bar) of an invertible-leg module.
 
     The bar is entrywise complex conjugation; the polar factors are unique
-    because both legs are invertible (NotInvertible otherwise).
+    because both legs are invertible (NotInvertible otherwise). |A| and |B|
+    are the positive polar factors, so each leg takes one eigensolve.
     """
     _require_arity2(m, "dual_module")
     _invertible_or_raise(m.A, "A", rtol)
     _invertible_or_raise(m.B, "B", rtol)
-    ua = la.polar(m.A, rtol).unitary
-    ub = la.polar(m.B, rtol).unitary
-    abs_a = la.psd_funcalc(la.dagger(m.A) @ m.A, "sqrt", rtol)
-    abs_b = la.psd_funcalc(la.dagger(m.B) @ m.B, "sqrt", rtol)
-    return PModule(legs=(np.conj(ua @ abs_b), np.conj(ub @ abs_a)))
+    pa, pb = la.polar(m.A, rtol), la.polar(m.B, rtol)
+    return PModule(legs=(np.conj(pa.unitary @ pb.positive), np.conj(pb.unitary @ pa.positive)))
 
 
 @dataclass(frozen=True)
@@ -248,39 +258,36 @@ def duality_check(m: PModule, rtol: float = la.DEFAULT_RTOL) -> DualityReport:
     Reports the fitted scalar lambda with ev o (leg of dual (x) m) = lambda ev
     (one lambda for both legs; NotIntertwiner if none fits within rtol), the
     zig-zag identity residual, and the categorical trace of the identity.
+    Neither product is formed: with the fusion factors of dual (x) m, the row
+    ev o L and the column L o coev = (ev o L*)* of each leg of dual (x) m and
+    m (x) dual are evaluated one tensor factor at a time, in O(d^3).
     """
     _require_arity2(m, "duality_check")
     d = m.dim
     md = dual_module(m, rtol)
-    left = boxtimes(md, m, rtol)  # dual (x) m
-    right = boxtimes(m, md, rtol)  # m (x) dual
+    vd, v, s = _fusion_factors(md, m, rtol)  # dual (x) m; m (x) dual is its flip
     ev = np.zeros((1, d * d), dtype=np.complex128)
     ev[0, np.arange(d) * (d + 1)] = 1.0
-    coev = ev.conj().T.copy()
-
-    ev2 = float((ev @ la.dagger(ev))[0, 0].real)
-    lam = sum(complex((ev @ leg @ la.dagger(ev))[0, 0]) for leg in left.legs) / (
-        2.0 * ev2
-    )
-    ev_residual = max(
-        float(np.linalg.norm(ev @ leg - lam * ev)) / math.sqrt(ev2) for leg in left.legs
-    )
+    # ev (P x Q) = vec(P^T Q); K^-1 of m (x) dual has the flipped spectrum.
+    legs = list(zip(md.legs, m.legs))
+    left = [_kron_right((xd @ vd).T @ (x @ v) * s.reshape(d, d), vd, v) for xd, x in legs]
+    sflip = v.T @ vd * s.reshape(d, d).T
+    right = [_kron_right(sflip, x @ v, xd @ vd) for xd, x in legs]
+    lam = sum(complex((row @ la.dagger(ev))[0, 0]) for row in left) / (2.0 * d)  # ev ev* = d
+    ev_residual = max(float(np.linalg.norm(row - lam * ev)) for row in left) / math.sqrt(d)
     if ev_residual > max(rtol, 1e-9) * 10:
         raise NotIntertwiner(
             f"no scalar makes ev an intertwiner (residual {ev_residual:.3e})"
         )
-    coev_residual = max(
-        float(np.linalg.norm(leg @ coev - lam * coev)) / math.sqrt(ev2)
-        for leg in right.legs
-    )
-
+    # L o coev - lam coev is the adjoint of ev o L* - conj(lam) ev.
+    coev_residual = max(float(np.linalg.norm(row - np.conj(lam) * ev)) for row in right)
+    coev_residual /= math.sqrt(d)
     eye = np.eye(d, dtype=np.complex128)
-    zig1 = la.kron(eye, ev) @ la.kron(coev, eye)
-    zig2 = la.kron(ev, eye) @ la.kron(eye, coev)
+    zig1 = _kron_right(la.kron(eye, ev), ev, eye)  # (1 x ev)(coev x 1)
+    zig2 = _kron_right(la.kron(ev, eye), eye, ev)  # (ev x 1)(1 x coev)
     zigzag = max(la.frobenius(zig1 - eye), la.frobenius(zig2 - eye))
-
-    gamma = flip_permutation(d, d)
-    qdim = complex((ev @ gamma @ coev)[0, 0])
+    # ev o flip o coev, the flip e_i (x) e_j -> e_j (x) e_i as an index permutation.
+    qdim = complex(ev[0] @ ev[0].conj().reshape(d, d).T.ravel())
     return DualityReport(
         quantum_dim=float(qdim.real),
         ev_factor=complex(lam),

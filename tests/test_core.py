@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmod import core, families
+from pmod import core, families, structure
 from pmod import linalg as la
 from pmod.errors import (
     ArityUnsupported,
@@ -204,6 +204,45 @@ def test_boxtimes_matches_polar_star_route():
         assert np.linalg.norm(got.B - want_b) <= 1e-10
 
 
+def _dense_boxtimes(m, mt):
+    # Reference: the dense formula (A x At) K^-1, K^-1 through one eigh of K^2.
+    k2 = la.kron(la.dagger(m.A) @ m.A, la.dagger(mt.A) @ mt.A) + la.kron(
+        la.dagger(m.B) @ m.B, la.dagger(mt.B) @ mt.B
+    )
+    w, v = np.linalg.eigh(k2)
+    kinv = (v / np.sqrt(w)) @ la.dagger(v)
+    return core.PModule(legs=(la.kron(m.A, mt.A) @ kinv, la.kron(m.B, mt.B) @ kinv))
+
+
+def _sample(d, tag, seed):
+    zeros = 1 if tag == "M" and d > 1 else 0
+    return families.random_module(d, tag, seed=seed, zero_eigenvalues=zeros)
+
+
+def test_boxtimes_matches_dense_formula_across_sizes():
+    dims = (1, 2, 3, 5, 8, 16)
+    pairs = [(d, dt) for d in dims for dt in dims if d != dt]
+    for i, (d, dt) in enumerate(pairs):
+        for tag, tagt in (("N", "N"), ("M", "N"), ("N", "M"), ("M", "M")):
+            m, mt = _sample(d, tag, 900 + i), _sample(dt, tagt, 950 + i)
+            got, want = core.boxtimes(m, mt), _dense_boxtimes(m, mt)
+            assert got.dim == d * dt
+            assert max(np.abs(x - y).max() for x, y in zip(got.legs, want.legs)) <= 1e-12
+
+
+def test_kron_right_matches_kronecker_product():
+    rng = np.random.default_rng(3)
+
+    def cmat(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    # Square factors, and the row/column shapes of ev and coev either side.
+    for (m, p), (n, q) in (((3, 3), (4, 4)), ((1, 9), (3, 3)), ((3, 3), (1, 9)), ((2, 5), (4, 1))):
+        x, a, b = cmat(6, p * q), cmat(m, p), cmat(n, q)
+        want = x @ la.dagger(la.kron(a, b))
+        assert np.abs(core._kron_right(x, a, b) - want).max() <= 1e-12
+
+
 def test_boxtimes_associativity_seeded():
     rng = np.random.default_rng(10)
     for i in range(5):
@@ -310,7 +349,8 @@ def test_dual_output_validates():
 
 
 def test_duality_check_report():
-    for d, seed in ((1, 30), (2, 31), (3, 32)):
+    # The criterion-9 properties, also at dimensions past the acceptance sweep.
+    for d, seed in ((1, 30), (2, 31), (3, 32), (8, 33), (16, 34)):
         m = families.random_module(d, "N", seed=seed)
         rep = core.duality_check(m)
         assert abs(rep.quantum_dim - d) < 1e-9
@@ -318,11 +358,70 @@ def test_duality_check_report():
         assert rep.zigzag_residual <= 1e-9
         assert rep.ev_residual <= 1e-9
         assert rep.coev_residual <= 1e-9
+        dd = core.dual_module(core.dual_module(m))
+        assert structure.equivalent(dd, m).verdict is True
 
 
 def test_duality_zigzag_unit_is_zero():
     rep = core.duality_check(core.unit_module())
     assert rep.zigzag_residual < 1e-14
+
+
+def test_dual_positive_parts_are_the_polar_factors():
+    # The legs are bit-identical to the formula with |A| and |B| from psd_funcalc.
+    for d in (1, 2, 5, 8, 16):
+        for seed in range(3):
+            m = families.random_module(d, "N", seed=1100 + 10 * d + seed)
+            abs_a = la.psd_funcalc(la.dagger(m.A) @ m.A, "sqrt")
+            abs_b = la.psd_funcalc(la.dagger(m.B) @ m.B, "sqrt")
+            want = (
+                np.conj(la.polar(m.A).unitary @ abs_b),
+                np.conj(la.polar(m.B).unitary @ abs_a),
+            )
+            got = core.dual_module(m)
+            assert all(np.array_equal(x, y) for x, y in zip(got.legs, want))
+
+
+def _dense_duality(m):
+    # Reference: both products formed densely, ev and coev applied to whole legs.
+    d = m.dim
+    md = core.dual_module(m)
+    left, right = _dense_boxtimes(md, m), _dense_boxtimes(m, md)
+    ev = np.zeros((1, d * d), dtype=np.complex128)
+    ev[0, np.arange(d) * (d + 1)] = 1.0
+    coev = ev.conj().T
+    lam = sum(complex((ev @ leg @ coev)[0, 0]) for leg in left.legs) / (2.0 * d)
+    eye = np.eye(d)
+    zig1 = la.kron(eye, ev) @ la.kron(coev, eye)
+    zig2 = la.kron(ev, eye) @ la.kron(eye, coev)
+    return core.DualityReport(
+        quantum_dim=float((ev @ core.flip_permutation(d, d) @ coev)[0, 0].real),
+        ev_factor=lam,
+        zigzag_residual=max(la.frobenius(zig1 - eye), la.frobenius(zig2 - eye)),
+        ev_residual=max(np.linalg.norm(ev @ leg - lam * ev) for leg in left.legs) / np.sqrt(d),
+        coev_residual=max(np.linalg.norm(leg @ coev - lam * coev) for leg in right.legs)
+        / np.sqrt(d),
+    )
+
+
+def test_duality_check_matches_dense_products():
+    fields = ("quantum_dim", "ev_factor", "zigzag_residual", "ev_residual", "coev_residual")
+    for d in (1, 4, 8, 16):
+        for seed in range(3):
+            m = families.random_module(d, "N", seed=1200 + 10 * d + seed)
+            got, want = core.duality_check(m), _dense_duality(m)
+            for f in fields:
+                assert abs(getattr(got, f) - getattr(want, f)) <= 1e-12, f
+
+
+def test_duality_check_forms_no_product(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("duality_check formed a fusion product")
+
+    monkeypatch.setattr(core, "boxtimes", refuse)
+    rep = core.duality_check(families.random_module(5, "N", seed=1300))
+    assert abs(rep.quantum_dim - 5) < 1e-9
+
 
 
 # ---------------------------------------------------------------------------

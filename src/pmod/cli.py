@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from . import core, families, fileio, structure
+from . import linalg as la
 from .errors import ParseError, PModError
 
 
@@ -106,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fusion, duality, decomposition, classification.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance")
+    common.add_argument("--tol", type=float, default=la.DEFAULT_RTOL, help="numeric tolerance")
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="report format"
     )
@@ -182,15 +183,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         report = args.handler(args)
-    except ParseError as exc:
+    except (ParseError, PModError, ValueError) as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except PModError as exc:
-        print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, PModError) else 2
     if isinstance(report, tuple):  # (module, metadata)
         module, metadata = report
         print(fileio.render_module(module, metadata, args.format))

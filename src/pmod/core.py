@@ -26,8 +26,6 @@ from .errors import (
     SingularDenominator,
 )
 
-DEFAULT_TOL = 1e-9
-
 # Relative spectral floor for the fusion normalizer, per the K-invertibility
 # design decision: smallest eigenvalue of K^2 must clear d*dt*1e-10*||K^2||.
 _K_GATE = 1e-10
@@ -108,7 +106,7 @@ def pythagorean_residual(m: PModule) -> float:
     return la.frobenius(acc)
 
 
-def validate(m: PModule, tol: float = DEFAULT_TOL) -> ValidationReport:
+def validate(m: PModule, tol: float = la.DEFAULT_RTOL) -> ValidationReport:
     """Check the defining identity; the report carries the residual, which is
     infinite (or NaN) when the legs' squares leave the float range."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -275,7 +273,7 @@ def duality_check(m: PModule, rtol: float = la.DEFAULT_RTOL) -> DualityReport:
     right = [_kron_right(sflip, x @ v, xd @ vd) for xd, x in legs]
     lam = sum(complex((row @ la.dagger(ev))[0, 0]) for row in left) / (2.0 * d)  # ev ev* = d
     ev_residual = max(float(np.linalg.norm(row - lam * ev)) for row in left) / math.sqrt(d)
-    if ev_residual > max(rtol, 1e-9) * 10:
+    if ev_residual > max(rtol, la.DEFAULT_RTOL) * 10:
         raise NotIntertwiner(
             f"no scalar makes ev an intertwiner (residual {ev_residual:.3e})"
         )

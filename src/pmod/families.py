@@ -230,11 +230,11 @@ def _d2_entries(m: core.PModule, rtol: float):
         raise NotD2Shape("expected a two-leg 2x2 module")
     a, b = m.A, m.B
     off = max(abs(a[0, 1]), abs(a[1, 0]), abs(b[0, 0]), abs(b[1, 1]))
-    if off > max(rtol, 1e-9):
+    if off > max(rtol, la.DEFAULT_RTOL):
         raise NotD2Shape("first leg must be diagonal and second anti-diagonal")
     a1, a2 = complex(a[0, 0]), complex(a[1, 1])
     b1, b2 = complex(b[1, 0]), complex(b[0, 1])
-    if min(abs(a1), abs(a2), abs(b1), abs(b2)) <= max(rtol, 1e-9):
+    if min(abs(a1), abs(a2), abs(b1), abs(b2)) <= max(rtol, la.DEFAULT_RTOL):
         raise NotD2Shape("all four scalar entries must be nonzero")
     return a1, a2, b1, b2
 
@@ -275,7 +275,7 @@ def d2_fuse(
     splits = []
     for block in (block1, block2):
         d1, d2 = complex(block.A[0, 0]), complex(block.A[1, 1])
-        if abs(d1 - d2) <= max(rtol, 1e-9):
+        if abs(d1 - d2) <= max(rtol, la.DEFAULT_RTOL):
             splits.append(_split_equal_diag(d1, complex(block.B[1, 0]), complex(block.B[0, 1])))
         else:
             splits.append(None)

@@ -5,8 +5,9 @@ arrays. The eigensolvers and singular values come from ``numpy.linalg``;
 this module adds what the rest of the package relies on around them: input
 gates, deterministic phase and ordering of eigenvectors, positive functional
 calculus, polar decomposition with a deterministic kernel completion,
-Gram-Schmidt bases, one SVD-based kernel routine behind every nullspace, and
-a certified reduced *-commutant solve. LAPACK failure is NoConvergence.
+Gram-Schmidt bases, one SVD-based kernel routine behind every other
+nullspace, and a certified reduced *-commutant solve that reads its kernel
+from its own SVD. LAPACK failure is NoConvergence.
 
 All rank and kernel decisions are relative to the largest singular value of
 the operand; ``DEFAULT_RTOL`` is the package-wide default gate.
@@ -166,14 +167,12 @@ def psd_funcalc(
     return (out + dagger(out)) / 2.0
 
 
-def gram_schmidt(
-    columns: np.ndarray, against: np.ndarray | None = None, keep: float = _GS_KEEP
-) -> np.ndarray:
+def gram_schmidt(columns: np.ndarray, against: np.ndarray | None = None) -> np.ndarray:
     """Orthonormalize columns, dropping near-dependent ones.
 
     Classical Gram-Schmidt with one reorthogonalization (CGS2, "twice is
     enough") against one preallocated block: two matrix-vector products per
-    column. A column is kept when its residual exceeds keep * its norm.
+    column. A column is kept when its residual exceeds _GS_KEEP * its norm.
     ``against`` is an already-orthonormal basis the result must also be
     orthogonal to. Column order is preserved, which keeps the result
     deterministic.
@@ -196,7 +195,7 @@ def gram_schmidt(
         for _ in range(2):
             v = v - (q[:k] @ v.conj()).conj() @ q[:k]
         nrm = np.linalg.norm(v)
-        if nrm > keep * ref:
+        if nrm > _GS_KEEP * ref:
             q[k] = v / nrm
             k += 1
     return np.ascontiguousarray(q[base:k].T)
@@ -392,10 +391,12 @@ def _reduced_kernel(pairs, tau: float) -> list[np.ndarray] | None:
     return out
 
 
-def cluster_runs(values: np.ndarray, gap: float) -> list[tuple[int, int]]:
-    """[start, stop) runs of ascending values separated by gaps <= gap."""
+def cluster_runs(values: np.ndarray) -> list[tuple[int, int]]:
+    """[start, stop) runs of ascending values separated by gaps <= gap, with
+    gap = 1e-8 * max(spread, 1) and spread = values[-1] - values[0]."""
     if not values.size:
         return []
+    gap = 1e-8 * max(float(values[-1] - values[0]), 1.0)
     bounds = [0, *(np.flatnonzero(np.diff(values) > gap) + 1).tolist(), values.size]
     return list(zip(bounds, bounds[1:]))
 
@@ -411,10 +412,8 @@ def commuting_hermitian_eig(
     eig_s = hermitian_eig(s, rtol)
     q = eig_s.vectors.copy()
     s_vals = eig_s.values.copy()
-    spread = max(float(s_vals[-1] - s_vals[0]), 1.0) if s_vals.size else 1.0
-    gap = 1e-8 * spread
     t_vals = np.zeros_like(s_vals)
-    for start, stop in cluster_runs(s_vals, gap):
+    for start, stop in cluster_runs(s_vals):
         block = q[:, start:stop]
         t_hat = dagger(block) @ t @ block
         sub = hermitian_eig((t_hat + dagger(t_hat)) / 2.0, rtol)
@@ -437,7 +436,7 @@ def unitary_eig(v: np.ndarray, rtol: float = DEFAULT_RTOL) -> tuple[np.ndarray, 
     return raw[order], np.ascontiguousarray(q[:, order])
 
 
-def eig_general(m: np.ndarray, rtol: float = DEFAULT_RTOL) -> tuple[np.ndarray, np.ndarray]:
+def eig_general(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and unit right eigenvectors of a general complex matrix.
 
     ``numpy.linalg.eig``; NoConvergence if LAPACK does not converge. Each

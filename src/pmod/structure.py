@@ -26,8 +26,9 @@ from .errors import NotFullSuspected, ShapeMismatch
 # Leg-invariance acceptance for emitted isometries.
 _INV_TOL = 1e-8
 
-# Diffuse certificate: prune word branches once the restricted operator norm
-# drops below this; survivors at exhausted budget make the verdict heuristic.
+# Diffuse certificate: restricted legs all below this norm certify at once;
+# otherwise word branches are pruned once their restricted operator norm
+# drops to it, and survivors at exhausted budget make the verdict heuristic.
 _DECAY_PRUNE = 1.0 - 1e-7
 _DECAY_DEPTH = 400
 _DECAY_BREADTH = 512
@@ -93,7 +94,7 @@ def largest_invariant_in(
     return cur
 
 
-def closure(m: core.PModule, vectors: np.ndarray, rtol: float = la.DEFAULT_RTOL) -> np.ndarray:
+def closure(m: core.PModule, vectors: np.ndarray) -> np.ndarray:
     """Smallest leg-invariant subspace containing the given vectors."""
     q = la.gram_schmidt(vectors)
     frontier = q
@@ -112,27 +113,25 @@ def _restricted_module(m: core.PModule, q: np.ndarray) -> core.PModule:
     return core.PModule(legs=tuple(qd @ leg @ q for leg in m.legs))
 
 
-def _minimal_invariant_from(
-    m: core.PModule, seed: np.ndarray, rtol: float
-) -> np.ndarray:
+def _minimal_invariant_from(m: core.PModule, seed: np.ndarray) -> np.ndarray:
     """Refine the closure of a seed vector to a minimal invariant subspace.
 
     Eigenvector closures of the legs restricted to the current closure are
     tried, in its own coordinates (so each stops once it fills it), for a
     strictly smaller invariant subspace until none is found.
     """
-    cur = closure(m, seed, rtol)
+    cur = closure(m, seed)
     improved = True
     while improved and cur.shape[1] > 1:
         improved = False
         sub = _restricted_module(m, cur)
         for leg_r in sub.legs:
             try:
-                _, vecs = la.eig_general(leg_r, rtol)
+                _, vecs = la.eig_general(leg_r)
             except la.NoConvergence:
                 continue
             for j in range(vecs.shape[1]):
-                cand = closure(sub, vecs[:, j], rtol)
+                cand = closure(sub, vecs[:, j])
                 if 0 < cand.shape[1] < cur.shape[1]:
                     cur = cur @ cand
                     improved = True
@@ -278,16 +277,14 @@ def _complete_and_atoms(
     seeds: list[np.ndarray] = []
     for word in ("0", "1", "00", "01", "10", "11"):
         try:
-            _, vecs = la.eig_general(core.word_operator(m, word), rtol)
+            _, vecs = la.eig_general(core.word_operator(m, word))
         except la.NoConvergence:
             continue
         seeds.extend(vecs[:, j] for j in range(vecs.shape[1]))
     for seed in seeds:
         if np.linalg.norm(seed - v @ (la.dagger(v) @ seed)) < 1e-7:
             continue
-        piece = _minimal_invariant_from(m, seed, rtol)
-        if piece.shape[1] == 0:
-            continue
+        piece = _minimal_invariant_from(m, seed)
         pieces.append(piece)
         v = np.column_stack([v, la.gram_schmidt(piece, against=v)])
 
@@ -301,11 +298,11 @@ def _complete_and_atoms(
         if rem.shape[1] == 0:
             break
         try:
-            _, vecs = la.eig_general(la.dagger(rem) @ m.A @ rem, rtol)
+            _, vecs = la.eig_general(la.dagger(rem) @ m.A @ rem)
             seed = rem @ vecs[:, 0]
         except la.NoConvergence:
             seed = rem[:, 0]
-        piece = _minimal_invariant_from(m, seed, rtol)
+        piece = _minimal_invariant_from(m, seed)
         added = la.gram_schmidt(piece, against=v)
         if added.shape[1] == 0:
             # The piece fell inside v; rem, in the complement, ends the loop.
@@ -319,9 +316,7 @@ def _complete_and_atoms(
     return CompletePart(isometry=v, p_dimension=v.shape[1], confidence=confidence), atoms
 
 
-def _diffuse_certificate(
-    m: core.PModule, q: np.ndarray, rtol: float
-) -> bool:
+def _diffuse_certificate(m: core.PModule, q: np.ndarray) -> bool:
     """Certify that every word operator decays to zero on span(q).
 
     First tries the strict-contraction test on the restricted legs; otherwise
@@ -332,7 +327,7 @@ def _diffuse_certificate(
         return True
     legs_r = _restricted_module(m, q).legs
     norms = [la.spectral_norm(leg) for leg in legs_r]
-    if max(norms) < 1.0 - 1e-7:
+    if max(norms) < _DECAY_PRUNE:
         return True
     level = [np.eye(q.shape[1], dtype=np.complex128)]
     for _ in range(_DECAY_DEPTH):
@@ -386,7 +381,7 @@ def classify_parts(
 
     confidence = comp.confidence
     if diffuse_dim and (
-        _invariance_defect(m, diffuse) > _INV_TOL or not _diffuse_certificate(m, diffuse, rtol)
+        _invariance_defect(m, diffuse) > _INV_TOL or not _diffuse_certificate(m, diffuse)
     ):
         confidence = "heuristic"
     return ClassifyReport(
@@ -422,30 +417,16 @@ class DecompositionReport:
     seed: int
 
 
-def _word_traces(m: core.PModule, budget: int) -> np.ndarray:
-    """Traces of all leg words, level by level, within a word-count budget.
+def _trace_key(m: core.PModule) -> tuple:
+    """Traces of the leg words of length 1 and 2, tr L_i then tr L_j L_i
+    (i outer), rounded to 6 digits.
 
     Unitary equivalence preserves every entry, so equivalent summands get
     equal keys.
     """
-    traces = []
-    level = [np.eye(m.dim, dtype=np.complex128)]
-    count = 0
-    while count + len(level) * m.arity <= budget:
-        nxt = []
-        for w in level:
-            for leg in m.legs:
-                op = leg @ w
-                nxt.append(op)
-                traces.append(complex(np.trace(op)))
-        count += len(nxt)
-        level = nxt
-    return np.array(traces, dtype=np.complex128)
-
-
-def _fingerprint_key(m: core.PModule) -> tuple:
-    tr = _word_traces(m, 2 * m.arity * m.arity)
-    return tuple((round(t.real, 6), round(t.imag, 6)) for t in tr)
+    ops = [*m.legs, *(lj @ li for li in m.legs for lj in m.legs)]
+    traces = np.array([np.trace(op) for op in ops], dtype=np.complex128)
+    return tuple((round(t.real, 6), round(t.imag, 6)) for t in traces)
 
 
 def decompose_full(
@@ -465,12 +446,13 @@ def decompose_full(
     eye = np.eye(d, dtype=np.complex128)
     certified = True
 
-    def split(q: np.ndarray) -> list[np.ndarray]:
+    def split(q: np.ndarray) -> list[tuple[np.ndarray, core.PModule]]:
+        """Irreducible blocks of span(q), each with its restricted module."""
         nonlocal certified
         sub = _restricted_module(m, q)
         basis = _star_intertwiners(sub, sub, rtol)
         if len(basis) <= 1:
-            return [q]
+            return [(q, sub)]
         h = None
         for _ in range(3):
             coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
@@ -479,14 +461,13 @@ def decompose_full(
             if la.frobenius(cand) < 1e-12:
                 cand = (y - la.dagger(y)) / 2.0j
             eig = la.hermitian_eig(cand, rtol)
-            spread = float(eig.values[-1] - eig.values[0])
-            runs = la.cluster_runs(eig.values, max(1e-8 * max(spread, 1.0), 1e-12))
+            runs = la.cluster_runs(eig.values)
             if len(runs) > 1:
                 h = (eig, runs)
                 break
         if h is None:
             certified = False
-            return [q]
+            return [(q, sub)]
         eig, runs = h
         out = []
         for start, stop in runs:
@@ -501,9 +482,9 @@ def decompose_full(
         return out
 
     blocks = split(eye)
+    blocks.sort(key=lambda block: (block[0].shape[1], _trace_key(block[1])))
     summands = []
-    for q in blocks:
-        sub = _restricted_module(m, q)
+    for q, sub in blocks:
         k = q.shape[1]
         tag = "unknown"
         label = None
@@ -512,14 +493,11 @@ def decompose_full(
             tag = "atomic"
             if len(atoms) == 1:
                 label = atoms[0].label
-        elif not atoms and _diffuse_certificate(
-            sub, np.eye(k, dtype=np.complex128), rtol
-        ):
+        elif not atoms and _diffuse_certificate(sub, np.eye(k, dtype=np.complex128)):
             tag = "diffuse"
         summands.append(
             Summand(isometry=q, dimension=k, tag=tag, label=label)
         )
-    summands.sort(key=lambda s: (s.dimension, _fingerprint_key(_restricted_module(m, s.isometry))))
     return DecompositionReport(
         summands=tuple(summands),
         residual_dimension=0,

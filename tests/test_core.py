@@ -1,22 +1,28 @@
 """Module algebra tests: validation, star, fusion, duals, scalars, words."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmod import core, families, structure
+from pmod import core, families, fileio, structure
 from pmod import linalg as la
 from pmod.errors import (
     ArityUnsupported,
     KernelOverlap,
+    NotD2Shape,
     NotInvertible,
+    NotPositive,
     OnUnitAxis,
+    PythagoreanViolation,
+    ShapeError,
     ShapeMismatch,
     SingularDenominator,
 )
 
-from conftest import shared_eigenline_module, leg_defect, random_unitary
+from conftest import d2_display_pair, shared_eigenline_module, leg_defect, random_unitary
 
 R2 = 1 / np.sqrt(2)
 
@@ -526,3 +532,78 @@ def test_conservation_seeded():
         xi = rng.standard_normal(m.dim) + 1j * rng.standard_normal(m.dim)
         xi /= np.linalg.norm(xi)
         assert core.conservation_defect(m, xi, 6) <= 1e-9
+
+
+def _module_text(**changes) -> str:
+    payload = json.loads(fileio.serialize_module(core.unit_module()))
+    return json.dumps({**payload, **changes})
+
+
+_R = 1.0 / np.sqrt(2.0)
+_QUAD = core.kawamura_tensor(core.unit_module(), core.unit_module())
+_ERROR_CASES = {
+    "as_matrix-ndim1": (lambda: la.as_matrix([1.0, 2.0]), ShapeMismatch),
+    "as_matrix-nan": (lambda: la.as_matrix([[1.0, np.nan], [0.0, 1.0]]), ShapeMismatch),
+    "hermitian_eig-nonsquare": (lambda: la.hermitian_eig(np.zeros((2, 3))), ShapeMismatch),
+    "commutation_kernel-empty": (lambda: la.commutation_kernel([]), ValueError),
+    "intertwiner_basis-arity": (
+        lambda: structure.intertwiner_basis(core.unit_module(), _QUAD), ShapeMismatch
+    ),
+    "atomic_part-arity4": (lambda: structure.atomic_part(_QUAD), ArityUnsupported),
+    "complete_submodule-arity4": (
+        lambda: structure.complete_submodule(_QUAD), ArityUnsupported
+    ),
+    "equivalent-arity": (
+        lambda: structure.equivalent(core.unit_module(), _QUAD),
+        lambda r: (r.verdict, r.reason) == (False, "arity mismatch"),
+    ),
+    "star-noncontraction": (lambda: core.star(2.0 * np.eye(2), 0.5 * np.eye(2)), NotPositive),
+    "scalar_boxtimes-overlap": (
+        lambda: core.scalar_boxtimes(core.ScalarModule(1, 0), core.ScalarModule(0, 1)),
+        KernelOverlap,
+    ),
+    "scalar_coords_iso-nonunit": (
+        lambda: core.scalar_coords_iso(core.GroupCoords(u=2.0, v=1.0, t=0.0)), ValueError
+    ),
+    "scalar_coords_of-axis": (
+        lambda: core.scalar_coords_of(core.ScalarModule(1, 0)), OnUnitAxis
+    ),
+    "in_class_m-arity4": (lambda: core.in_class_m(_QUAD), lambda r: r is False),
+    "gp_vector-empty": (lambda: families.GPVector(entries=()), ValueError),
+    "gp_vector-off-sphere": (lambda: families.GPVector(entries=((1.0, 1.0),)), ValueError),
+    "random_module-all-zero": (
+        lambda: families.random_module(3, "M", zero_eigenvalues=3), ValueError
+    ),
+    "d2-zero-entry": (
+        lambda: families.d2_fuse(
+            core.PModule(legs=(np.diag([0.0, _R]), np.array([[0.0, _R], [1.0, 0.0]]))),
+            d2_display_pair()[0],
+        ),
+        NotD2Shape,
+    ),
+    "module_file-short-row": (
+        lambda: fileio.parse_module_file(
+            _module_text(dim=2, legs=[[[[1, 0], [0, 0]], [[0, 0]]]] * 2)
+        ),
+        ShapeError,
+    ),
+    "module_file-metadata-list": (
+        lambda: fileio.parse_module_file(_module_text(metadata=[1])), ShapeError
+    ),
+    "gp_vector-overflow": (
+        lambda: fileio.parse_gp_vector("[[[1e308, 0], [1e308, 0]]]"),
+        PythagoreanViolation,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ERROR_CASES))
+def test_typed_errors_and_refusals(case):
+    call, expect = _ERROR_CASES[case]
+    if isinstance(expect, type):
+        with pytest.raises(expect) as info:
+            call()
+        if expect is PythagoreanViolation:
+            assert info.value.residual == float("inf")
+    else:
+        assert expect(call())

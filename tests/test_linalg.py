@@ -329,9 +329,30 @@ def test_eigensolver_ordering_conventions():
     assert np.allclose(np.angle(vals), [-3.0, -1.0, 0.3, 1.0, 2.5], atol=1e-12)
     assert np.max(np.abs(vecs - np.eye(5)[:, [3, 1, 2, 4, 0]])) < 1e-12
 
-    runs = la.cluster_runs(np.array([0, 1e-9, 1, 1.5, 1.5 + 1e-10, 3]), 1e-8)
+    runs = la.cluster_runs(np.array([0, 1e-9, 1, 1.5, 1.5 + 1e-10, 3]))
     assert runs == [(0, 2), (2, 3), (3, 5), (5, 6)]
-    assert la.cluster_runs(np.array([]), 1e-8) == []
+    assert la.cluster_runs(np.array([])) == []
+
+
+def _runs_at(values, gap):
+    """cluster_runs with the gap passed in, as it took it before it derived
+    the gap itself."""
+    bounds = [0, *(np.flatnonzero(np.diff(values) > gap) + 1).tolist(), values.size]
+    return list(zip(bounds, bounds[1:]))
+
+
+@pytest.mark.parametrize("spread", [1e-6, 1e-3, 0.5, 1.0, 3.0, 1e3])
+def test_cluster_runs_gap_matches_both_former_callers(spread):
+    # The gap commuting_hermitian_eig and decompose_full computed before
+    # cluster_runs took the rule over; near-ties at half and twice the gap.
+    gap = 1e-8 * max(spread, 1.0)
+    base = np.linspace(0.0, spread, 8)
+    values = np.sort(np.concatenate([base, base[::2] + 0.5 * gap, base[1::2] + 2.0 * gap]))
+    commuting = 1e-8 * max(float(values[-1] - values[0]), 1.0)
+    decompose = max(1e-8 * max(float(values[-1] - values[0]), 1.0), 1e-12)
+    runs = la.cluster_runs(values)
+    assert runs == _runs_at(values, commuting) == _runs_at(values, decompose)
+    assert len(runs) == 12
 
 
 def _star_pairs(m, mt):

@@ -324,6 +324,39 @@ def test_classify_atomic_emergence_product():
 # ---------------------------------------------------------------------------
 
 
+def _word_traces(m, budget):
+    """Traces of all leg words, level by level, within a word-count budget:
+    the summand sort key's former implementation, kept as the reference."""
+    traces = []
+    level = [np.eye(m.dim, dtype=np.complex128)]
+    count = 0
+    while count + len(level) * m.arity <= budget:
+        nxt = []
+        for w in level:
+            for leg in m.legs:
+                op = leg @ w
+                nxt.append(op)
+                traces.append(complex(np.trace(op)))
+        count += len(nxt)
+        level = nxt
+    return np.array(traces, dtype=np.complex128)
+
+
+def _fingerprint_key(m):
+    tr = _word_traces(m, 2 * m.arity * m.arity)
+    return tuple((round(t.real, 6), round(t.imag, 6)) for t in tr)
+
+
+def test_trace_key_matches_budgeted_word_traces():
+    mods = [families.random_module(d, "M", seed=d, zero_eigenvalues=d // 2) for d in (1, 3, 5)]
+    mods += [families.atomic_module(families.AtomicLabel("011", np.exp(0.7j)))]
+    mods += [core.kawamura_tensor(m, families.random_module(2, "N", seed=9)) for m in mods]
+    for m in mods:
+        key = structure._trace_key(m)
+        assert len(key) == m.arity + m.arity**2
+        assert key == _fingerprint_key(m)
+
+
 def test_decompose_direct_sum_of_scalars():
     ds = core.direct_sum(core.unit_module(), core.scalar_module(0.5, np.sqrt(3) / 2))
     rep = structure.decompose_full(ds, seed=1)

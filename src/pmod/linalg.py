@@ -113,6 +113,9 @@ def hermitian_eig(m: np.ndarray, rtol: float = DEFAULT_RTOL) -> HermEig:
         )
     values, vectors = _lapack(np.linalg.eigh, (m + dagger(m)) / 2.0)
     lead = _fix_phases(vectors)
+    if np.all(np.diff(values) > 0.0):
+        # No ties: the primary key alone fixes the order, which eigh gave.
+        return HermEig(values=values, vectors=np.ascontiguousarray(vectors))
     # np.lexsort takes its last key as primary: value, then leading index,
     # then each coordinate's rounded re and im in turn.
     coords = np.round(np.stack([vectors.real, vectors.imag], axis=1).reshape(2 * n, n), 10)
@@ -234,6 +237,11 @@ def kernel_basis(
     padded = np.zeros(cols)
     padded[: sigma.size] = sigma
     return np.ascontiguousarray(dagger(vh[padded <= thr]))
+
+
+def thin_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD (u, sigma, vh) of m, singular values descending."""
+    return _lapack(np.linalg.svd, m, full_matrices=False)
 
 
 def singular_extremes(m: np.ndarray) -> tuple[float, float]:
@@ -391,12 +399,18 @@ def _reduced_kernel(pairs, tau: float) -> list[np.ndarray] | None:
     return out
 
 
+def cluster_gap(values: np.ndarray) -> float:
+    """1e-8 * max(spread, 1), spread = values[-1] - values[0] (ascending
+    values): the largest gap inside one cluster of eigenvalues."""
+    return 1e-8 * max(float(values[-1] - values[0]), 1.0)
+
+
 def cluster_runs(values: np.ndarray) -> list[tuple[int, int]]:
-    """[start, stop) runs of ascending values separated by gaps <= gap, with
-    gap = 1e-8 * max(spread, 1) and spread = values[-1] - values[0]."""
+    """[start, stop) runs of ascending values separated by gaps <=
+    cluster_gap(values)."""
     if not values.size:
         return []
-    gap = 1e-8 * max(float(values[-1] - values[0]), 1.0)
+    gap = cluster_gap(values)
     bounds = [0, *(np.flatnonzero(np.diff(values) > gap) + 1).tolist(), values.size]
     return list(zip(bounds, bounds[1:]))
 
@@ -407,7 +421,8 @@ def commuting_hermitian_eig(
     """Joint eigenbasis of two commuting Hermitian matrices.
 
     Diagonalizes s, then re-diagonalizes t inside each (near-)degenerate
-    eigenspace of s. Returns (s_values, t_values, basis).
+    eigenspace of s; on a one-dimensional eigenspace t's value is read off
+    directly. Returns (s_values, t_values, basis).
     """
     eig_s = hermitian_eig(s, rtol)
     q = eig_s.vectors.copy()
@@ -416,6 +431,9 @@ def commuting_hermitian_eig(
     for start, stop in cluster_runs(s_vals):
         block = q[:, start:stop]
         t_hat = dagger(block) @ t @ block
+        if stop - start == 1:
+            t_vals[start] = t_hat[0, 0].real
+            continue
         sub = hermitian_eig((t_hat + dagger(t_hat)) / 2.0, rtol)
         q[:, start:stop] = block @ sub.vectors
         t_vals[start:stop] = sub.values

@@ -26,6 +26,9 @@ from .errors import NotFullSuspected, ShapeMismatch
 # Leg-invariance acceptance for emitted isometries.
 _INV_TOL = 1e-8
 
+# A spin keeps a residual direction whose singular value exceeds this.
+_SPIN_CUT = 1e-7
+
 # Diffuse certificate: restricted legs all below this norm certify at once;
 # otherwise word branches are pruned once their restricted operator norm
 # drops to it, and survivors at exhausted budget make the verdict heuristic.
@@ -69,15 +72,6 @@ def _invariance_defect(m: core.PModule, q: np.ndarray) -> float:
     return max(la.frobenius(proj_out @ leg @ q) for leg in m.legs)
 
 
-def _stay_inside(m: core.PModule, q: np.ndarray, rtol: float) -> np.ndarray:
-    """One step of invariance refinement: {v in span(q) : legs v in span(q)}."""
-    d = m.dim
-    proj_out = np.eye(d, dtype=np.complex128) - q @ la.dagger(q)
-    stacked = np.vstack([proj_out @ leg @ q for leg in m.legs])
-    coef = la.kernel_basis(stacked, rtol, scale=1.0)
-    return q @ coef
-
-
 def largest_invariant_in(
     m: core.PModule, q: np.ndarray, rtol: float = la.DEFAULT_RTOL
 ) -> np.ndarray:
@@ -87,25 +81,48 @@ def largest_invariant_in(
     """
     cur = q
     while cur.shape[1]:
-        nxt = _stay_inside(m, cur, rtol)
-        if nxt.shape[1] == cur.shape[1]:
+        proj_out = np.eye(m.dim, dtype=np.complex128) - cur @ la.dagger(cur)
+        stacked = np.vstack([proj_out @ leg @ cur for leg in m.legs])
+        coef = la.kernel_basis(stacked, rtol, scale=1.0)
+        if coef.shape[1] == cur.shape[1]:
             return cur
-        cur = nxt
+        cur = cur @ coef
     return cur
+
+
+def _spin(ops, start: np.ndarray, done: np.ndarray, steps=None):
+    """Orthonormal basis of the closure of span(start) under ops, grown
+    orthogonally to span(done), and each round's coefficients V S^-1.
+
+    A round maps the frontier through all ops in one stacked matmul,
+    projects the images twice off the basis and keeps the left singular
+    vectors clearing the absolute cut _SPIN_CUT (ops are contractions, the
+    frontier orthonormal). Given ``steps``, their coefficients replace the
+    SVD: the spin is replayed from another start under other ops.
+    """
+    d, n = start.shape[0], len(ops)
+    stacked, q, frontier, record = np.vstack(ops), np.column_stack([done, start]), start, []
+    while frontier.shape[1] and q.shape[1] < d and (steps is None or len(record) < len(steps)):
+        images = (stacked @ frontier).reshape(n, d, -1).transpose(1, 0, 2).reshape(d, -1)
+        for _ in range(2):
+            images = images - q @ (la.dagger(q) @ images)
+        if steps is not None:
+            record.append(steps[len(record)])
+            frontier = images @ record[-1]
+        elif la.frobenius(images) <= _SPIN_CUT:
+            break
+        else:
+            u, sigma, vh = la.thin_svd(images)
+            keep = sigma > _SPIN_CUT
+            record.append(la.dagger(vh[keep]) / sigma[keep])
+            frontier = u[:, keep]
+        q = np.column_stack([q, frontier])
+    return q[:, done.shape[1]:], record
 
 
 def closure(m: core.PModule, vectors: np.ndarray) -> np.ndarray:
     """Smallest leg-invariant subspace containing the given vectors."""
-    q = la.gram_schmidt(vectors)
-    frontier = q
-    while frontier.shape[1]:
-        images = np.hstack([leg @ frontier for leg in m.legs])
-        added = la.gram_schmidt(images, against=q)
-        if added.shape[1] == 0:
-            break
-        q = np.column_stack([q, added])
-        frontier = added
-    return q
+    return _spin(m.legs, la.gram_schmidt(vectors), np.zeros((m.dim, 0)))[0]
 
 
 def _restricted_module(m: core.PModule, q: np.ndarray) -> core.PModule:
@@ -419,14 +436,56 @@ class DecompositionReport:
 
 def _trace_key(m: core.PModule) -> tuple:
     """Traces of the leg words of length 1 and 2, tr L_i then tr L_j L_i
-    (i outer), rounded to 6 digits.
+    (i outer, j >= i: tr L_i L_j = tr L_j L_i), rounded to 6 digits.
 
     Unitary equivalence preserves every entry, so equivalent summands get
     equal keys.
     """
-    ops = [*m.legs, *(lj @ li for li in m.legs for lj in m.legs)]
+    ops = [*m.legs, *(lj @ li for i, li in enumerate(m.legs) for lj in m.legs[i:])]
     traces = np.array([np.trace(op) for op in ops], dtype=np.complex128)
     return tuple((round(t.real, 6), round(t.imag, 6)) for t in traces)
+
+
+def _probe(m: core.PModule, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(c, h): h = x + x*, x = sum_k c_k L_k + c' L_0 L_{n-1} (c' = c[-1])
+    with c complex Gaussian from rng, a Hermitian element of the *-algebra
+    the legs generate."""
+    c = rng.standard_normal(m.arity + 1) + 1j * rng.standard_normal(m.arity + 1)
+    x = sum(ck * leg for ck, leg in zip(c, m.legs)) + c[-1] * (m.legs[0] @ m.legs[-1])
+    return c, x + la.dagger(x)
+
+
+def _fresh_start(vectors: np.ndarray, done: np.ndarray) -> np.ndarray | None:
+    """The longest of the k orthonormal vectors projected off done, made a
+    unit vector; None once span(vectors) lies inside span(done) (else the
+    longest is at least 1/sqrt(k) long)."""
+    rest = vectors - done @ (la.dagger(done) @ vectors)
+    norms = np.linalg.norm(rest, axis=0)
+    j = int(np.argmax(norms))
+    return rest[:, j : j + 1] / norms[j] if norms[j] > 0.5 / np.sqrt(norms.size) else None
+
+
+def _spin_blocks(m: core.PModule, h: np.ndarray, eig: la.HermEig) -> list[tuple]:
+    """Orthogonal *-invariant blocks (run, isometry, steps, certified):
+    spins under legs and adjoints of h's eigenvectors with index in run,
+    most isolated eigenvalue cluster first, each projected off the blocks
+    so far (which reduce h). A block is certified irreducible when its
+    eigenvalue is simple for h on it (at the cluster gap): a *-invariant
+    splitting would put both parts of the eigenvector in that eigenspace.
+    """
+    vals = eig.values
+    ops = [*m.legs, *(la.dagger(leg) for leg in m.legs)]
+    gaps = np.concatenate([[np.inf], np.diff(vals), [np.inf]])
+    done, blocks = np.zeros((m.dim, 0), dtype=np.complex128), []
+    for a, b in sorted(la.cluster_runs(vals), key=lambda r: -min(gaps[r[0]], gaps[r[1]])):
+        while done.shape[1] < m.dim and (v := _fresh_start(eig.vectors[:, a:b], done)) is not None:
+            q, steps = _spin(ops, v, done)
+            simple = b - a == 1 or q.shape[1] == 1 or np.partition(
+                np.abs(np.linalg.eigvalsh(la.dagger(q) @ h @ q) - vals[a]), 1
+            )[1] > la.cluster_gap(vals)
+            blocks.append(((a, b), q, steps, simple))
+            done = np.column_stack([done, q])
+    return blocks
 
 
 def decompose_full(
@@ -434,16 +493,18 @@ def decompose_full(
 ) -> DecompositionReport:
     """Orthogonal decomposition of a full module into irreducible summands.
 
-    The adjoint-closed commutant is computed (legal for full modules, whose
-    plain intertwiners intertwine adjoints too); spectral projections of a
-    seeded random Hermitian commutant element split the carrier and the
-    split recurses until the commutant is trivial. Every produced subspace
-    is checked for leg-invariance; a failure raises NotFullSuspected, which
-    is the symptom of a non-full input.
+    One eigensolve of the seeded probe h (``_probe``) and spins of its
+    eigenvectors give *-invariant blocks (``_spin_blocks``). Certificate: a
+    block on which its eigenvalue is simple for h is irreducible. Fallbacks:
+    an uncertified block, or the carrier if a block fails the leg-invariance
+    gate, is split by spectral projections of seeded random Hermitian
+    elements of the adjoint-closed commutant until it is trivial
+    ("heuristic" if no draw has two distinct eigenvalues). A commutant
+    eigenspace failing that gate raises NotFullSuspected, the symptom of a
+    non-full input.
     """
     rng = np.random.default_rng(seed)
     d = m.dim
-    eye = np.eye(d, dtype=np.complex128)
     certified = True
 
     def split(q: np.ndarray) -> list[tuple[np.ndarray, core.PModule]]:
@@ -453,7 +514,6 @@ def decompose_full(
         basis = _star_intertwiners(sub, sub, rtol)
         if len(basis) <= 1:
             return [(q, sub)]
-        h = None
         for _ in range(3):
             coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
             y = sum(c * x for c, x in zip(coeffs, basis))
@@ -463,12 +523,10 @@ def decompose_full(
             eig = la.hermitian_eig(cand, rtol)
             runs = la.cluster_runs(eig.values)
             if len(runs) > 1:
-                h = (eig, runs)
                 break
-        if h is None:
+        else:
             certified = False
             return [(q, sub)]
-        eig, runs = h
         out = []
         for start, stop in runs:
             qc = q @ eig.vectors[:, start:stop]
@@ -481,13 +539,18 @@ def decompose_full(
             out.extend(split(qc))
         return out
 
-    blocks = split(eye)
+    h = _probe(m, rng)[1]
+    spun = _spin_blocks(m, h, la.hermitian_eig(h, rtol))
+    if any(_invariance_defect(m, q) > _INV_TOL for _, q, _, _ in spun):
+        spun = [(None, np.eye(d, dtype=np.complex128), None, False)]
+    blocks = []
+    for _, q, _, simple in spun:
+        blocks += [(q, _restricted_module(m, q))] if simple else split(q)
     blocks.sort(key=lambda block: (block[0].shape[1], _trace_key(block[1])))
     summands = []
     for q, sub in blocks:
         k = q.shape[1]
-        tag = "unknown"
-        label = None
+        tag, label = "unknown", None
         atoms = atomic_part(sub, rtol=rtol) if sub.arity == 2 else []
         if atoms and sum(s.isometry.shape[1] for s in atoms) == k:
             tag = "atomic"
@@ -495,9 +558,7 @@ def decompose_full(
                 label = atoms[0].label
         elif not atoms and _diffuse_certificate(sub, np.eye(k, dtype=np.complex128)):
             tag = "diffuse"
-        summands.append(
-            Summand(isometry=q, dimension=k, tag=tag, label=label)
-        )
+        summands.append(Summand(isometry=q, dimension=k, tag=tag, label=label))
     return DecompositionReport(
         summands=tuple(summands),
         residual_dimension=0,
@@ -540,23 +601,51 @@ def equivalent(
     rtol: float = la.DEFAULT_RTOL,
     seed: int = 0,
 ) -> EquivalenceResult:
-    """Unitary-equivalence test with verdicts true / false / undecided.
+    """Unitary-equivalence test (of the *-representations the legs
+    generate) with verdicts true / false / undecided, from the probes h, h'
+    of ``decompose_full`` with the same seeded c.
 
-    Unitary equivalence is equivalence of the *-representations the legs
-    generate. With irreducible multiplicities n_i in m and n'_i in mt,
-    dim Hom(m, mt) = sum n_i n'_i, dim End(m) = sum n_i^2 and dim End(mt) =
-    sum n'_i^2, so by Cauchy-Schwarz m and mt are equivalent exactly when
-    the three dimensions agree. Then a generic element of Hom(m, mt) is
-    invertible and the unitary factor of its polar decomposition is a
-    witness. "true" is returned only with that factor, for a seeded random
-    element of one *-intertwiner solve, verified; an empty Hom, or one whose
-    dimension differs from dim End(m) or dim End(mt), gives "false"; agreeing
-    dimensions without a verified witness leave the verdict undecided.
+    False (Weyl): a unitary U with ||U L_k U* - L'_k||_F <= eta moves no
+    eigenvalue of h by more than ||U h U* - h'|| <= c_n eta (1 + eta), c_n =
+    2 (sum_k |c_k| + 2 |c'|), legs being contractions. A spectral mismatch
+    above K c_n eta_max, eta_max = max(1e-7, 10 rtol) the defect
+    ``_verify_witness`` accepts, is "false", its margin in the reason; K = 2
+    covers the (1 + eta) factor and eigh's rounding.
+    True: each block W of m (``_spin_blocks``) replayed on mt from an
+    eigenvector of h' in its index range gives U = sum W' W*, returned once
+    ``_verify_witness`` accepts it.
+    Fallback: with irreducible multiplicities n_i in m and n'_i in mt, dim
+    Hom(m, mt) = sum n_i n'_i and dim End(m) = sum n_i^2, so by
+    Cauchy-Schwarz m and mt are equivalent exactly when dim Hom, dim End(m)
+    and dim End(mt) agree. "true" needs the polar factor of a seeded random
+    element of Hom (one *-intertwiner solve) verified as a witness; an empty
+    Hom, or one whose dimension differs from dim End(m) or dim End(mt),
+    gives "false"; else the verdict is undecided.
     """
     if m.arity != mt.arity:
         return EquivalenceResult(False, None, "arity mismatch")
     if m.dim != mt.dim:
         return EquivalenceResult(False, None, "dimension mismatch")
+    c, h = _probe(m, np.random.default_rng(seed))
+    eig = la.hermitian_eig(h, rtol)
+    eig_t = la.hermitian_eig(_probe(mt, np.random.default_rng(seed))[1], rtol)
+    c_n = 2.0 * (np.abs(c[:-1]).sum() + 2.0 * abs(c[-1]))
+    bound = 2.0 * c_n * max(1e-7, 10 * rtol)
+    drift = float(np.max(np.abs(eig.values - eig_t.values), initial=0.0))
+    if drift > bound:
+        why = f"probe spectra differ by {drift:.3e}, {drift / bound:.3g} times the Weyl bound {bound:.3e}"
+        return EquivalenceResult(False, None, why)
+    ops = [*mt.legs, *(la.dagger(leg) for leg in mt.legs)]
+    u, done = np.zeros((m.dim, m.dim), dtype=np.complex128), np.zeros((m.dim, 0))
+    for (a, b), q, steps, _ in _spin_blocks(m, h, eig):
+        v = _fresh_start(eig_t.vectors[:, a:b], done)
+        if v is None:
+            break
+        qt = _spin(ops, v, done, steps)[0]
+        u, done = u + qt @ la.dagger(q), np.column_stack([done, qt])
+    else:
+        if _verify_witness(m, mt, u, rtol):
+            return EquivalenceResult(True, u, "replayed spin of the probe's eigenvectors")
     hom = _star_intertwiners(m, mt, rtol)
     if not hom:
         return EquivalenceResult(False, None, "no *-intertwiner")

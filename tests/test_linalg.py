@@ -441,3 +441,49 @@ def test_reduced_commutation_kernel_needs_no_fold_on_clean_input(monkeypatch):
     assert len(basis) == 1
     x = basis[0]
     assert max(np.linalg.norm(x @ a - b @ x) for a, b in zip(prod.legs, pc.legs)) <= 1e-9
+
+
+def _full_hermitian_eig(m):
+    """hermitian_eig's ordering with the tie-breaking sort always applied."""
+    n = m.shape[0]
+    values, vectors = np.linalg.eigh((m + m.conj().T) / 2.0)
+    lead = la._fix_phases(vectors)
+    coords = np.round(np.stack([vectors.real, vectors.imag], axis=1).reshape(2 * n, n), 10)
+    order = np.lexsort(np.vstack([coords[::-1], lead, values]))
+    return values[order], np.ascontiguousarray(vectors[:, order])
+
+
+def _full_commuting_eig(s, t):
+    """commuting_hermitian_eig re-diagonalizing every cluster, singletons too."""
+    eig_s = la.hermitian_eig(s)
+    q, t_vals = eig_s.vectors.copy(), np.zeros_like(eig_s.values)
+    for start, stop in la.cluster_runs(eig_s.values):
+        block = q[:, start:stop]
+        t_hat = block.conj().T @ t @ block
+        sub = la.hermitian_eig((t_hat + t_hat.conj().T) / 2.0)
+        q[:, start:stop] = block @ sub.vectors
+        t_vals[start:stop] = sub.values
+    return eig_s.values, t_vals, q
+
+
+def test_eig_fast_paths_match_full_paths():
+    rng = np.random.default_rng(41)
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    mats = [rand_hermitian(rng, n) for n in (1, 2, 5, 16)]
+    # Exact ties, where the tie-breaking sort decides.
+    mats += [np.eye(3), np.kron(np.eye(2), swap), np.diag([2.0, 1.0, 1.0, 3.0]),
+             np.kron(np.eye(3), rand_hermitian(rng, 2))]
+    for m in mats:
+        m = m.astype(complex)
+        e = la.hermitian_eig(m)
+        values, vectors = _full_hermitian_eig(m)
+        assert np.array_equal(e.values, values) and np.array_equal(e.vectors, vectors)
+        assert e.vectors.flags.c_contiguous
+    for n in (3, 6, 8):
+        u = random_unitary(rng, n)
+        # s with a repeated eigenvalue and singletons; t commutes with it.
+        ds = np.r_[rng.standard_normal(n - 2), [0.7, 0.7]]
+        s = u @ np.diag(ds) @ u.conj().T
+        t = u @ np.diag(rng.standard_normal(n)) @ u.conj().T
+        got, want = la.commuting_hermitian_eig(s, t), _full_commuting_eig(s, t)
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))

@@ -1,8 +1,11 @@
 """Structural analysis tests: intertwiners, parts, decomposition, equivalence."""
 
+import functools
+
 import numpy as np
 
 from pmod import core, families, structure
+from pmod import linalg as la
 from pmod.errors import NotFullSuspected
 
 from conftest import (
@@ -342,9 +345,13 @@ def _word_traces(m, budget):
     return np.array(traces, dtype=np.complex128)
 
 
-def _fingerprint_key(m):
-    tr = _word_traces(m, 2 * m.arity * m.arity)
-    return tuple((round(t.real, 6), round(t.imag, 6)) for t in tr)
+def _fingerprint_key(m, cyclic_repeats=False):
+    """The word traces of length 1 and 2; tr L_j L_i (i outer) only for
+    j >= i unless cyclic_repeats, since tr L_j L_i = tr L_i L_j."""
+    n = m.arity
+    tr = _word_traces(m, 2 * n * n)
+    keep = [*range(n), *(n + i * n + j for i in range(n) for j in range(n) if cyclic_repeats or j >= i)]
+    return tuple((round(t.real, 6), round(t.imag, 6)) for t in tr[keep])
 
 
 def test_trace_key_matches_budgeted_word_traces():
@@ -353,8 +360,27 @@ def test_trace_key_matches_budgeted_word_traces():
     mods += [core.kawamura_tensor(m, families.random_module(2, "N", seed=9)) for m in mods]
     for m in mods:
         key = structure._trace_key(m)
-        assert len(key) == m.arity + m.arity**2
+        assert len(key) == m.arity + m.arity * (m.arity + 1) // 2
         assert key == _fingerprint_key(m)
+
+
+def test_trace_key_without_cyclic_repeats_keeps_summand_order():
+    # A dropped entry equals an earlier one in every key, so the summand
+    # order of the full length-2 key is kept.
+    rng = np.random.default_rng(31)
+    atoms = [families.atomic_module(families.AtomicLabel(w, np.exp(1j * t)))
+             for w, t in (("01", 0.4), ("01", 0.4), ("011", 2.1), ("01", -1.3), ("1", 0.9))]
+    sums = [core.direct_sum(core.direct_sum(atoms[0], atoms[1]), families.random_module(3, seed=8)),
+            core.direct_sum(core.direct_sum(atoms[2], atoms[3]), families.random_module(2, seed=9)),
+            core.direct_sum(core.direct_sum(atoms[4], atoms[3]), core.unit_module())]
+    m, mt = d2_display_pair()
+    sums += [core.boxtimes(m, mt), core.direct_sum(core.unit_module(), core.scalar_module(0.6, 0.8))]
+    for s in sums:
+        m = core.conjugate(s, random_unitary(rng, s.dim))
+        subs = [restricted(m, x.isometry) for x in structure.decompose_full(m, seed=2).summands]
+        assert len(subs) > 1
+        order = sorted(range(len(subs)), key=lambda i: (subs[i].dim, _fingerprint_key(subs[i], True)))
+        assert order == list(range(len(subs)))
 
 
 def test_decompose_direct_sum_of_scalars():
@@ -632,3 +658,118 @@ def test_decompose_and_equivalence_on_higher_arity():
     assert res.verdict is True
     k3 = core.kawamura_tensor(core.scalar_module(0.6, 0.8), core.unit_module())
     assert structure.equivalent(s12, core.direct_sum(k1, k3), seed=3).verdict is False
+
+
+# ---------------------------------------------------------------------------
+# Spectral spin: routes and fallbacks.
+# ---------------------------------------------------------------------------
+
+
+def _structure_inputs(seed):
+    """(module, twin, false twin or None): an irreducible carrier-9 product,
+    2 x 01(phi) + N(3) and 011(phi) + 01(psi) + N(2), each conjugated by
+    seeded unitaries; a false twin has one atomic phase changed."""
+    rng = np.random.default_rng(seed)
+    phi, psi = np.exp(2j * np.pi * rng.random(2))
+
+    def atom(word, phase):
+        return families.atomic_module(families.AtomicLabel(word, phase))
+
+    def conj(*parts):
+        m = functools.reduce(core.direct_sum, parts)
+        return core.conjugate(m, random_unitary(rng, m.dim))
+
+    p = core.boxtimes(families.random_module(3, seed=seed), families.random_module(3, seed=seed + 50))
+    n3, n2 = families.random_module(3, seed=seed + 100), families.random_module(2, seed=seed + 150)
+    return [
+        (conj(p), conj(p), None),
+        (conj(atom("01", phi), atom("01", phi), n3), conj(atom("01", phi), atom("01", phi), n3),
+         conj(atom("01", phi), atom("01", -phi), n3)),
+        (conj(atom("011", phi), atom("01", psi), n2), conj(atom("011", phi), atom("01", psi), n2),
+         conj(atom("011", -phi), atom("01", psi), n2)),
+    ]
+
+
+def _count_commutant_solves(monkeypatch):
+    calls = []
+    kernel = la.commutation_kernel
+    monkeypatch.setattr(la, "commutation_kernel", lambda *a, **k: calls.append(1) or kernel(*a, **k))
+    return calls
+
+
+def _isotypic_projectors(m, rep):
+    """Summand multiset and the projector onto each isotypic component:
+    isometries inside a component are not unique, these are."""
+    groups = {}
+    for s in rep.summands:
+        label = None if s.label is None else (s.label.word, round(float(np.angle(s.label.phase)), 6))
+        key = (s.dimension, s.tag, label, structure._trace_key(restricted(m, s.isometry)))
+        groups[key] = groups.get(key, 0) + s.isometry @ s.isometry.conj().T
+    return groups
+
+
+def _same_decomposition(m, a, b):
+    pa, pb = _isotypic_projectors(m, a), _isotypic_projectors(m, b)
+    assert a.confidence == b.confidence
+    assert sorted(pa, key=str) == sorted(pb, key=str)
+    for key in pa:
+        assert np.linalg.norm(pa[key] - pb[key]) < 1e-8
+
+
+def test_spin_closure_keeps_atom_carriers():
+    # A leg image of rounding size is not a new direction: the closure of
+    # a vector of an atomic carrier is that carrier.
+    for seed in range(1, 6):
+        for m, _, _ in _structure_inputs(seed)[1:]:
+            for a in structure.atomic_part(m):
+                q = structure.closure(m, a.isometry[:, 0])
+                assert q.shape[1] == len(a.label.word)
+                assert np.linalg.norm(q @ q.conj().T - a.isometry @ a.isometry.conj().T) < 1e-8
+
+
+def test_spectral_routes_need_no_commutant_solve(monkeypatch):
+    calls = _count_commutant_solves(monkeypatch)
+    for seed in (1, 2, 3):
+        for m, twin, false_twin in _structure_inputs(seed):
+            rep = structure.decompose_full(m, seed=0)
+            assert rep.confidence == "certified"
+            assert sum(s.dimension for s in rep.summands) == m.dim
+            res = structure.equivalent(m, twin, seed=0)
+            assert res.verdict is True and structure._verify_witness(m, twin, res.witness, 1e-9)
+            if false_twin is not None:
+                res = structure.equivalent(m, false_twin, seed=0)
+                assert res.verdict is False and res.reason.startswith("probe spectra differ")
+    assert calls == []
+
+
+def test_degenerate_probe_falls_back_to_commutant_split(monkeypatch):
+    for m, _, _ in _structure_inputs(4):
+        want = structure.decompose_full(m, seed=0)
+        with monkeypatch.context() as mp:
+            calls = _count_commutant_solves(mp)
+            mp.setattr(structure, "_probe", lambda m, rng: (None, np.zeros((m.dim, m.dim), dtype=complex)))
+            got = structure.decompose_full(m, seed=0)
+        assert calls
+        _same_decomposition(m, want, got)
+
+
+def test_noisy_twin_replay_failure_falls_back(monkeypatch):
+    # Noise of 1e-9 on the twin defeats the replayed witness; the verdict is
+    # then the Hom/End route's, the same as with the replay left out.
+    rng = np.random.default_rng(1)
+    m, twin, _ = _structure_inputs(1)[0]
+    noisy = core.PModule(legs=tuple(
+        leg + 1e-9 * (rng.standard_normal(leg.shape) + 1j * rng.standard_normal(leg.shape))
+        for leg in twin.legs
+    ))
+    for rtol in (1e-9, 1e-8):
+        with monkeypatch.context() as mp:
+            calls = _count_commutant_solves(mp)
+            got = structure.equivalent(m, noisy, rtol=rtol)
+        assert calls
+        with monkeypatch.context() as mp:
+            mp.setattr(structure, "_spin_blocks", lambda *a: [])
+            want = structure.equivalent(m, noisy, rtol=rtol)
+        assert (got.verdict, got.reason) == (want.verdict, want.reason)
+        assert got.reason != "replayed spin of the probe's eigenvectors"
+    assert got.verdict is True and structure._verify_witness(m, noisy, got.witness, 1e-8)

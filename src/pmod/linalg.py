@@ -461,8 +461,7 @@ def eig_general(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvector is phase-normalized so its first coordinate above 1e-12 is
     positive real, and pairs are ordered by (real, imaginary) part of the
     eigenvalue rounded to 12 digits, then by LAPACK's order. Eigenvectors of
-    clustered or defective spectra are best-effort seeds, not certified
-    output.
+    clustered or defective spectra are best-effort, not certified output.
     """
     m = as_matrix(m)
     _check_square(m)

@@ -5,11 +5,12 @@ orthocomplement contains no nonzero leg-invariant subspace; its dimension is
 the module's intrinsic dimension (invariant under the induced-representation
 functors). There is no closed-form algorithm for it, so the search below
 combines exact ingredients: atomic carriers found through norm-preservation
-kernels along the prefixes of Lyndon words no longer than d, eigenvector
-closures refined to minimal invariant subspaces, and a forced-completion
-loop whose stopping certificate (largest invariant subspace inside the
-orthocomplement, computed by kernel iteration) is exact. The ``confidence``
-field reports when the result is certified versus heuristic.
+kernels along the prefixes of Lyndon words no longer than d, and a
+forced-completion loop run on spins (closures under the legs or their
+adjoints): its stopping certificate, the largest invariant subspace inside
+the orthocomplement, is the complement of an adjoint spin, and each piece
+it adds is cut to a minimal invariant subspace by Norton's irreducibility
+test. The ``confidence`` field reports certified versus heuristic results.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ _INV_TOL = 1e-8
 # A spin keeps a residual direction whose singular value exceeds this.
 _SPIN_CUT = 1e-7
 
-# Diffuse certificate: restricted legs all below this norm certify at once;
-# otherwise word branches are pruned once their restricted operator norm
-# drops to it, and survivors at exhausted budget make the verdict heuristic.
+# Diffuse certificate: word branches are pruned once their restricted
+# operator norm drops to this, and survivors at exhausted budget make the
+# verdict heuristic.
 _DECAY_PRUNE = 1.0 - 1e-7
 _DECAY_DEPTH = 400
 _DECAY_BREADTH = 512
@@ -72,22 +73,16 @@ def _invariance_defect(m: core.PModule, q: np.ndarray) -> float:
     return max(la.frobenius(proj_out @ leg @ q) for leg in m.legs)
 
 
-def largest_invariant_in(
-    m: core.PModule, q: np.ndarray, rtol: float = la.DEFAULT_RTOL
-) -> np.ndarray:
+def largest_invariant_in(m: core.PModule, q: np.ndarray) -> np.ndarray:
     """Largest leg-invariant subspace contained in span(q) (orthonormal basis).
 
-    Exact up to tolerance: iterates v -> {v : legs v stay} until stable.
+    X inside span(q) is leg-invariant iff X^perp, which holds span(q)^perp,
+    is invariant under the adjoints; so X is the orthocomplement of the
+    spin of span(q)^perp under the adjoint legs.
     """
-    cur = q
-    while cur.shape[1]:
-        proj_out = np.eye(m.dim, dtype=np.complex128) - cur @ la.dagger(cur)
-        stacked = np.vstack([proj_out @ leg @ cur for leg in m.legs])
-        coef = la.kernel_basis(stacked, rtol, scale=1.0)
-        if coef.shape[1] == cur.shape[1]:
-            return cur
-        cur = cur @ coef
-    return cur
+    outside = la.complete_basis(q, m.dim)
+    adjoints = [la.dagger(leg) for leg in m.legs]
+    return la.complete_basis(_spin(adjoints, outside, np.zeros((m.dim, 0)))[0], m.dim)
 
 
 def _spin(ops, start: np.ndarray, done: np.ndarray, steps=None):
@@ -131,30 +126,39 @@ def _restricted_module(m: core.PModule, q: np.ndarray) -> core.PModule:
 
 
 def _minimal_invariant_from(m: core.PModule, seed: np.ndarray) -> np.ndarray:
-    """Refine the closure of a seed vector to a minimal invariant subspace.
+    """A minimal leg-invariant subspace inside the closure W of a seed vector.
 
-    Eigenvector closures of the legs restricted to the current closure are
-    tried, in its own coordinates (so each stops once it fills it), for a
-    strictly smaller invariant subspace until none is found.
+    Norton's test, with theta = c0 L0 + c1 L1 + c2 L0 L1 on W (real c from
+    default_rng(0)) and an eigenvalue lam of it: a proper invariant U of W
+    holds the kernel vector v of theta - lam (lam an eigenvalue on U), or
+    U^perp holds the cokernel vector w (lam one on W/U). So a proper leg
+    spin of v, or the complement in W of a proper adjoint spin of w, shrinks
+    W; when both fill W and the kernel is one-dimensional (second smallest
+    singular value above _SPIN_CUT), W is irreducible. After three draws on
+    one W without a verdict, or on a LAPACK failure, W is returned as is.
     """
-    cur = closure(m, seed)
-    improved = True
-    while improved and cur.shape[1] > 1:
-        improved = False
-        sub = _restricted_module(m, cur)
-        for leg_r in sub.legs:
-            try:
-                _, vecs = la.eig_general(leg_r)
-            except la.NoConvergence:
-                continue
-            for j in range(vecs.shape[1]):
-                cand = closure(sub, vecs[:, j])
-                if 0 < cand.shape[1] < cur.shape[1]:
-                    cur = cur @ cand
-                    improved = True
-                    break
-            if improved:
-                break
+    rng = np.random.default_rng(0)
+    cur, draws = closure(m, seed), 0
+    while cur.shape[1] > 1 and draws < 3:
+        k, (a, b) = cur.shape[1], _restricted_module(m, cur).legs
+        c = rng.standard_normal(3)
+        theta = c[0] * a + c[1] * b + c[2] * (a @ b)
+        try:
+            lam = np.linalg.eigvals(theta)[0]
+            u, sigma, vh = la.thin_svd(theta - lam * np.eye(k))
+        except (np.linalg.LinAlgError, la.NoConvergence):
+            return cur
+        empty = np.zeros((k, 0))
+        inside = _spin((a, b), la.dagger(vh[-1:]), empty)[0]
+        if inside.shape[1] == k:
+            outside = _spin((la.dagger(a), la.dagger(b)), u[:, -1:], empty)[0]
+            inside = la.complete_basis(outside, k)
+        if 0 < inside.shape[1] < k:
+            cur, draws = cur @ inside, 0
+        elif sigma[-2] > _SPIN_CUT:
+            return cur
+        else:
+            draws += 1
     return cur
 
 
@@ -260,14 +264,15 @@ def complete_submodule(
     """Smallest complete submodule (isometry, dimension, confidence).
 
     Modules with a normal first leg and invertible second leg are full, so
-    the whole carrier is returned directly. Otherwise the candidate is grown
-    from atomic carriers and minimal eigenvector closures, then forced to
-    completeness: while the orthocomplement still contains an invariant
-    subspace, a minimal invariant inside it is added. The final state always
-    satisfies the exact completeness certificate; "certified" additionally
-    requires the smallest-candidate evidence (class shortcut, whole carrier,
-    or all pieces one-dimensional) and no remainder added whole because its
-    minimal piece fell inside the candidate.
+    the whole carrier is returned directly. Otherwise the candidate starts
+    from the atomic carriers and is forced to completeness: while the
+    orthocomplement holds an invariant subspace (``largest_invariant_in``,
+    the complement of the candidate's adjoint spin), the minimal invariant
+    subspace Norton's test finds in the closure of its first basis vector
+    is added. The final state satisfies the completeness certificate at the
+    spin cut; "certified" also requires the smallest-candidate evidence
+    (class shortcut, whole carrier, or all pieces one-dimensional) and no
+    remainder added whole because its minimal piece fell in the candidate.
     """
     return _complete_and_atoms(m, max_len, rtol, use_class_shortcut)[0]
 
@@ -290,36 +295,16 @@ def _complete_and_atoms(
     pieces: list[np.ndarray] = []
     v = la.gram_schmidt(np.hstack([np.zeros((d, 0))] + [s.isometry for s in atoms]))
 
-    # Seed minimal invariant subspaces from eigenvectors of short words.
-    seeds: list[np.ndarray] = []
-    for word in ("0", "1", "00", "01", "10", "11"):
-        try:
-            _, vecs = la.eig_general(core.word_operator(m, word))
-        except la.NoConvergence:
-            continue
-        seeds.extend(vecs[:, j] for j in range(vecs.shape[1]))
-    for seed in seeds:
-        if np.linalg.norm(seed - v @ (la.dagger(v) @ seed)) < 1e-7:
-            continue
-        piece = _minimal_invariant_from(m, seed)
-        pieces.append(piece)
-        v = np.column_stack([v, la.gram_schmidt(piece, against=v)])
-
-    # Forced completion: exact certificate drives the loop.
+    # Forced completion: the certificate drives the loop.
     stalled = False
     while True:
         comp = la.complete_basis(v, d)
         if comp.shape[1] == 0:
             break
-        rem = largest_invariant_in(m, comp, rtol)
+        rem = largest_invariant_in(m, comp)
         if rem.shape[1] == 0:
             break
-        try:
-            _, vecs = la.eig_general(la.dagger(rem) @ m.A @ rem)
-            seed = rem @ vecs[:, 0]
-        except la.NoConvergence:
-            seed = rem[:, 0]
-        piece = _minimal_invariant_from(m, seed)
+        piece = _minimal_invariant_from(m, rem[:, 0])
         added = la.gram_schmidt(piece, against=v)
         if added.shape[1] == 0:
             # The piece fell inside v; rem, in the complement, ends the loop.
@@ -336,16 +321,13 @@ def _complete_and_atoms(
 def _diffuse_certificate(m: core.PModule, q: np.ndarray) -> bool:
     """Certify that every word operator decays to zero on span(q).
 
-    First tries the strict-contraction test on the restricted legs; otherwise
-    walks the word tree pruning branches whose restricted operator norm fell
-    below the unit threshold. True only when all branches die within budget.
+    Walks the word tree pruning branches whose restricted operator norm fell
+    to the unit threshold (its first level tests the restricted legs
+    themselves). True only when all branches die within budget.
     """
     if q.shape[1] == 0:
         return True
     legs_r = _restricted_module(m, q).legs
-    norms = [la.spectral_norm(leg) for leg in legs_r]
-    if max(norms) < _DECAY_PRUNE:
-        return True
     level = [np.eye(q.shape[1], dtype=np.complex128)]
     for _ in range(_DECAY_DEPTH):
         nxt = []

@@ -604,10 +604,9 @@ def test_forced_completion_ends_within_d_rounds(monkeypatch):
     assert rep.confidence == "heuristic"
 
 
-def test_complete_submodule_coupled_residual_column():
+def _coupled_residual_column():
     # A 2-dim irreducible diffuse block extended by a residual direction that
-    # genuinely feeds into the block (not a direct sum): the search must stop
-    # at the block, not swallow the whole carrier.
+    # genuinely feeds into the block (not a direct sum).
     t = core.boxtimes(core.scalar_module(0.5, np.sqrt(3) / 2), shared_eigenline_module())
     ta, tb = t.legs
     x = np.array([0.15, -0.1j], dtype=complex)
@@ -619,7 +618,12 @@ def test_complete_submodule_coupled_residual_column():
     big_b = np.zeros((3, 3), dtype=complex)
     big_a[:2, :2], big_a[:2, 2], big_a[2, 2] = ta, x, a
     big_b[:2, :2], big_b[:2, 2], big_b[2, 2] = tb, y, b
-    m = core.PModule(legs=(big_a, big_b))
+    return core.PModule(legs=(big_a, big_b))
+
+
+def test_complete_submodule_coupled_residual_column():
+    # The search must stop at the block, not swallow the whole carrier.
+    m = _coupled_residual_column()
     assert core.pythagorean_residual(m) <= 1e-12
 
     cp = structure.complete_submodule(m)
@@ -629,6 +633,128 @@ def test_complete_submodule_coupled_residual_column():
     assert np.linalg.norm(resid) <= 1e-8
     rep = structure.classify_parts(m)
     assert (rep.diffuse_dim, rep.residual_dim) == (2, 1)
+
+
+def _kernel_iteration(m, q, rtol=1e-9):
+    """The former largest_invariant_in: iterate v -> {v : legs v stay in
+    span(q)} until stable."""
+    cur = q
+    while cur.shape[1]:
+        proj_out = np.eye(m.dim) - cur @ cur.conj().T
+        coef = la.kernel_basis(np.vstack([proj_out @ leg @ cur for leg in m.legs]), rtol, scale=1.0)
+        if coef.shape[1] == cur.shape[1]:
+            return cur
+        cur = cur @ coef
+    return cur
+
+
+def _atoms_and_n3(seed, noise=0.0):
+    """A conjugated 01 + 011 + N(3) sum, with entry noise of the given size."""
+    rng = np.random.default_rng(seed)
+    parts = [families.atomic_module(families.AtomicLabel(w, np.exp(1j * rng.uniform(-3, 3))))
+             for w in ("01", "011")]
+    m = core.direct_sum(core.direct_sum(*parts), families.random_module(3, seed=seed))
+    m = core.conjugate(m, random_unitary(rng, m.dim))
+    return core.PModule(legs=tuple(
+        leg + noise * (rng.standard_normal(leg.shape) + 1j * rng.standard_normal(leg.shape))
+        for leg in m.legs
+    ))
+
+
+def test_largest_invariant_matches_kernel_iteration():
+    rng = np.random.default_rng(7)
+    coupled = _coupled_residual_column()
+    eye3 = np.eye(3, dtype=complex)
+    cases = [(coupled, eye3), (coupled, eye3[:, :2]), (coupled, eye3[:, [0, 2]]),
+             (coupled, la.gram_schmidt(rng.standard_normal((3, 2))))]
+    for seed, noise in ((1, 0.0), (2, 0.0), (3, 1e-11)):
+        m = _atoms_and_n3(seed, noise)
+        atoms = np.hstack([s.isometry for s in structure.atomic_part(m)])
+        cases += [(m, la.complete_basis(atoms, m.dim)),
+                  (m, la.gram_schmidt(np.column_stack([atoms, rng.standard_normal(m.dim)]))),
+                  (m, np.eye(m.dim, dtype=complex))]
+    dims = []
+    for m, q in cases:
+        got, want = structure.largest_invariant_in(m, q), _kernel_iteration(m, q)
+        dims.append(got.shape[1])
+        assert got.shape == want.shape
+        assert np.linalg.norm(got @ got.conj().T - want @ want.conj().T) < 1e-8
+    assert dims == [3, 2, 0, 0] + [3, 5, 8] * 3
+
+
+def _algebra_dim(legs):
+    """Dimension of the span of all words in the legs (identity included)."""
+    k = legs[0].shape[0]
+    basis = np.eye(k, dtype=complex).reshape(-1, 1) / np.sqrt(k)
+    frontier = [np.eye(k, dtype=complex)]
+    while frontier:
+        new = []
+        for w in frontier:
+            for leg in legs:
+                x = (leg @ w).reshape(-1)
+                r = x - basis @ (basis.conj().T @ x)
+                r -= basis @ (basis.conj().T @ r)
+                if np.linalg.norm(r) > 1e-8 * max(np.linalg.norm(x), 1e-300):
+                    basis = np.column_stack([basis, r / np.linalg.norm(r)])
+                    new.append(leg @ w)
+        frontier = new
+    return basis.shape[1]
+
+
+def test_minimal_invariant_pieces_are_irreducible():
+    # Burnside: span(q) is irreducible iff the restricted leg words span
+    # all k x k matrices.
+    rng = np.random.default_rng(11)
+    mods = [_coupled_residual_column(), _atoms_and_n3(4), _atoms_and_n3(5),
+            core.direct_sum(shared_eigenline_module(), core.unit_module())]
+    mods += [families.random_module(d, tag, seed=d, zero_eigenvalues=int(tag == "M"))
+             for d in (2, 3, 4) for tag in "NM"]
+    sizes = set()
+    for m in mods:
+        for _ in range(3):
+            seed = rng.standard_normal(m.dim) + 1j * rng.standard_normal(m.dim)
+            q = structure._minimal_invariant_from(m, seed)
+            k = q.shape[1]
+            sizes.add(k)
+            assert structure._invariance_defect(m, q) < 1e-8
+            assert _algebra_dim(restricted(m, q).legs) == k * k
+    assert sizes >= {1, 2, 3}
+
+
+def test_minimal_invariant_quotient_eigenvalue_splits_by_adjoint_spin(monkeypatch):
+    # On the coupled module, W = C^3 holds one invariant subspace, the block.
+    # For an eigenvalue of theta on the block the kernel vector spins to the
+    # block; for the quotient's eigenvalue it spins to all of W, so only the
+    # adjoint spin of the cokernel vector (the residual line) can split W.
+    m = _coupled_residual_column()
+    block = np.eye(3, dtype=complex)[:, :2]
+    eigvals, spin = np.linalg.eigvals, structure._spin
+    firsts = []
+    for first in range(3):
+        spun = []
+        with monkeypatch.context() as mp:
+            mp.setattr(np.linalg, "eigvals", lambda x: np.roll(eigvals(x), -first))
+            mp.setattr(structure, "_spin",
+                       lambda *a: spun.append((out := spin(*a))[0].shape[1]) or out)
+            q = structure._minimal_invariant_from(m, np.ones(3))
+        assert np.linalg.norm(q @ q.conj().T - block @ block.conj().T) < 1e-10
+        firsts.append(spun[:3])
+    # The closure of the seed fills W; then the leg spin of the kernel
+    # vector is the block, or fills W and the adjoint spin is one line.
+    assert sorted(f[1] for f in firsts) == [2, 2, 3]
+    assert [f for f in firsts if f[1] == 3] == [[3, 3, 1]]
+
+
+def test_diffuse_certificate_walk_alone_tests_the_legs(monkeypatch):
+    # A nilpotent leg of norm 1 survives the first level; every word of
+    # length 2 falls below the prune. The walk takes 2 + 2 norms and none
+    # are taken before it.
+    m = core.PModule(legs=(np.array([[0, 1], [0, 0]], dtype=complex), 0.5 * np.eye(2, dtype=complex)))
+    calls = []
+    norm = la.spectral_norm
+    monkeypatch.setattr(la, "spectral_norm", lambda x: calls.append(1) or norm(x))
+    assert structure._diffuse_certificate(m, np.eye(2, dtype=complex))
+    assert len(calls) == 4
 
 
 def test_classify_is_self_consistent_on_generic_product():

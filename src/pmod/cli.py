@@ -4,11 +4,13 @@ Exit codes: 0 success, 1 domain errors (KernelOverlap, NotInvertible, a
 failing validate, ...), 2 usage and parse errors (malformed files, bad
 shapes, Pythagorean violations in inputs). Reports go to stdout, diagnostics
 to stderr; identical argv (seeds included) produce byte-identical output.
+Stdout closed early by its reader (``pmod ... | head``) is exit 1, no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -187,13 +189,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, PModError) else 2
     if isinstance(report, tuple):  # (module, metadata)
-        module, metadata = report
-        print(fileio.render_module(module, metadata, args.format))
-        return 0
-    print(fileio.render_report(report, args.format))
-    if isinstance(report, core.ValidationReport) and not report.passed:
+        text = fileio.render_module(*report, args.format)
+    else:
+        text = fileio.render_report(report, args.format)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's exit flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    return 0
+    return int(isinstance(report, core.ValidationReport) and not report.passed)
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ _NORMALITY_GATE = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class PModule:
-    """Tuple of n >= 2 square legs of equal dimension."""
+    """Tuple of n >= 2 equal-size square legs, checked on entry unless built by _trusted."""
 
     legs: tuple[np.ndarray, ...]
 
@@ -59,6 +59,15 @@ class PModule:
             m.setflags(write=False)
             coerced.append(m)
         object.__setattr__(self, "legs", tuple(coerced))
+
+    @classmethod
+    def _trusted(cls, legs) -> PModule:
+        """Skip the entry checks: legs are fresh complex128 results from checked legs."""
+        module = object.__new__(cls)
+        object.__setattr__(module, "legs", tuple(legs))
+        for leg in module.legs:
+            leg.setflags(write=False)
+        return module
 
     @property
     def dim(self) -> int:
@@ -202,9 +211,9 @@ def boxtimes(m: PModule, mt: PModule, rtol: float = la.DEFAULT_RTOL) -> PModule:
     _require_arity2(m, "boxtimes")
     _require_arity2(mt, "boxtimes")
     v, vt, s = _fusion_factors(m, mt, rtol)
-    return PModule(legs=tuple(
+    return PModule._trusted(
         _kron_right(la.kron(x @ v, xt @ vt) * s, v, vt) for x, xt in zip(m.legs, mt.legs)
-    ))
+    )
 
 
 def direct_sum(m: PModule, mt: PModule) -> PModule:
@@ -218,26 +227,22 @@ def direct_sum(m: PModule, mt: PModule) -> PModule:
         block[:d, :d] = x
         block[d:, d:] = y
         legs.append(block)
-    return PModule(legs=tuple(legs))
-
-
-def _invertible_or_raise(leg: np.ndarray, name: str, rtol: float) -> None:
-    if not la.is_invertible(leg, rtol):
-        raise NotInvertible(f"leg {name} is numerically singular")
+    return PModule._trusted(legs)
 
 
 def dual_module(m: PModule, rtol: float = la.DEFAULT_RTOL) -> PModule:
     """Coordinate dual (conj(U_A)|B|-bar, conj(U_B)|A|-bar) of an invertible-leg module.
 
-    The bar is entrywise complex conjugation; the polar factors are unique
-    because both legs are invertible (NotInvertible otherwise). |A| and |B|
-    are the positive polar factors, so each leg takes one eigensolve.
+    The bar is entrywise complex conjugation. Each leg takes one eigensolve:
+    polar gives |A| and |B|, and its singular values gate invertibility
+    (NotInvertible otherwise), which makes the polar factors unique.
     """
     _require_arity2(m, "dual_module")
-    _invertible_or_raise(m.A, "A", rtol)
-    _invertible_or_raise(m.B, "B", rtol)
     pa, pb = la.polar(m.A, rtol), la.polar(m.B, rtol)
-    return PModule(legs=(np.conj(pa.unitary @ pb.positive), np.conj(pb.unitary @ pa.positive)))
+    for name, s in (("A", pa.singular_values), ("B", pb.singular_values)):
+        if not la._invertible(s[0], s[-1], m.dim, rtol):
+            raise NotInvertible(f"leg {name} is numerically singular")
+    return PModule._trusted((np.conj(pa.unitary @ pb.positive), np.conj(pb.unitary @ pa.positive)))
 
 
 @dataclass(frozen=True)
@@ -372,12 +377,7 @@ def kawamura_tensor(m: PModule, mt: PModule) -> PModule:
     The Pythagorean identity holds algebraically, no normalizer involved.
     Associative entrywise; not symmetric.
     """
-    legs = tuple(
-        la.kron(m.legs[i], mt.legs[j])
-        for i in range(m.arity)
-        for j in range(mt.arity)
-    )
-    return PModule(legs=legs)
+    return PModule._trusted(la.kron(x, y) for x in m.legs for y in mt.legs)
 
 
 def word_operator(m: PModule, word) -> np.ndarray:

@@ -34,9 +34,9 @@ _GS_KEEP = 1e-6
 
 # Relative floor of the invertibility and polar rank gates. polar decides
 # rank on the eigenvalues of m* m, which square the singular values, so true
-# zeros resurface there at ~sqrt(machine eps). is_invertible applies the same
-# floor to the singular values themselves, so a matrix it passes as
-# invertible is also full rank to polar.
+# zeros resurface there at ~sqrt(machine eps). _invertible applies the same
+# floor to the singular values, from a full SVD (is_invertible) or from
+# polar's own (core.dual_module), so an invertible leg is full rank to polar.
 _GRAM_FLOOR = 5e-8
 
 
@@ -53,7 +53,7 @@ def as_matrix(entries) -> np.ndarray:
     m = np.asarray(entries, dtype=np.complex128)
     if m.ndim != 2:
         raise ShapeMismatch(f"expected a matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ShapeMismatch("matrix entries must be finite")
     return m
 
@@ -82,10 +82,11 @@ class HermEig:
 
 @dataclass(frozen=True, eq=False)
 class PolarPair:
-    """Polar factors M = unitary @ positive."""
+    """Polar factors M = unitary @ positive, and M's singular values ascending."""
 
     unitary: np.ndarray
     positive: np.ndarray
+    singular_values: np.ndarray | None = None
 
 
 def _check_square(m: np.ndarray) -> int:
@@ -254,14 +255,17 @@ def spectral_norm(m: np.ndarray) -> float:
     return singular_extremes(m)[1]
 
 
+def _invertible(smin: float, smax: float, n: int, rtol: float) -> bool:
+    return smax > 0.0 and smin > max(n * rtol, _GRAM_FLOOR) * smax
+
+
 def is_invertible(m: np.ndarray, rtol: float = DEFAULT_RTOL) -> bool:
     """Relative invertibility gate: smallest singular value > dim*rtol*largest.
 
-    The gate is floored at _GRAM_FLOOR, the rank floor polar uses, so an
-    invertible verdict also means full rank to polar.
+    From a full SVD, floored at _GRAM_FLOOR, polar's rank floor: invertible
+    means full rank to polar. dual_module applies it to polar's own values.
     """
-    smin, smax = singular_extremes(m)
-    return smax > 0.0 and smin > max(m.shape[0] * rtol, _GRAM_FLOOR) * smax
+    return _invertible(*singular_extremes(m), m.shape[0], rtol)
 
 
 def polar(m: np.ndarray, rtol: float = DEFAULT_RTOL) -> PolarPair:
@@ -270,7 +274,8 @@ def polar(m: np.ndarray, rtol: float = DEFAULT_RTOL) -> PolarPair:
     On the kernel of P the unitary factor is fixed by matching deterministic
     Gram-Schmidt bases of ker|m| and ker|m*| in ascending standard-basis
     order; with that convention the output is unique and reproducible. Total
-    on square matrices.
+    on square matrices. The singular values returned are the square roots of
+    the clipped eigenvalues of m* m, so callers need no SVD of m to gate it.
     """
     m = as_matrix(m)
     n = _check_square(m)
@@ -280,20 +285,20 @@ def polar(m: np.ndarray, rtol: float = DEFAULT_RTOL) -> PolarPair:
     positive = (eig.vectors * sigma) @ dagger(eig.vectors)
     positive = (positive + dagger(positive)) / 2.0
     if smax == 0.0:
-        return PolarPair(unitary=np.eye(n, dtype=np.complex128), positive=positive)
+        return PolarPair(np.eye(n, dtype=np.complex128), positive, sigma)
     keep = sigma > max(rtol, _GRAM_FLOOR) * smax
     qr = eig.vectors[:, keep]
     # Columns of w are the left singular vectors over the co-kernel.
     w = m @ (qr / sigma[keep])
     u = w @ dagger(qr)
     if keep.all():
-        return PolarPair(unitary=u, positive=positive)
+        return PolarPair(u, positive, sigma)
     k1 = complete_basis(qr, n)  # ker |m|
     k2 = complete_basis(gram_schmidt(w), n)  # ker |m*|
     r = min(k1.shape[1], k2.shape[1])
     if r:
         u = u + k2[:, :r] @ dagger(k1[:, :r])
-    return PolarPair(unitary=u, positive=positive)
+    return PolarPair(u, positive, sigma)
 
 
 def commutation_kernel(

@@ -122,7 +122,7 @@ def closure(m: core.PModule, vectors: np.ndarray) -> np.ndarray:
 
 def _restricted_module(m: core.PModule, q: np.ndarray) -> core.PModule:
     qd = la.dagger(q)
-    return core.PModule(legs=tuple(qd @ leg @ q for leg in m.legs))
+    return core.PModule._trusted(qd @ leg @ q for leg in m.legs)
 
 
 def _minimal_invariant_from(m: core.PModule, seed: np.ndarray) -> np.ndarray:

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -530,6 +534,26 @@ def test_cli_dual_not_invertible_exit_1(files, capsys):
     code, _, err = run_cli(capsys, "dual", path)
     assert code == 1
     assert "NotInvertible" in err
+
+
+def test_cli_closed_stdout_exits_1_without_traceback(files):
+    # The reader is gone before the child writes, as when ``pmod fuse ... | head``
+    # has read its fill: exit 1 and no traceback on stderr.
+    _, write = files
+    path = write("a.json", families.random_module(4, "N", seed=1))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "pmod.cli", "fuse", path, path, "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert b"Traceback" not in done.stderr
 
 
 def test_cli_usage_error_exit_2(capsys):

@@ -50,6 +50,40 @@ def test_validate_family_constructor_output():
     assert core.validate(m).passed
 
 
+def test_public_constructor_rejects_non_finite_legs_and_copies():
+    for bad in (np.nan, np.inf, complex(0.0, np.nan), complex(0.0, -np.inf)):
+        leg = np.eye(2, dtype=complex) * R2
+        leg[0, 1] = bad
+        with pytest.raises(ShapeMismatch):
+            core.PModule(legs=(leg, np.eye(2) * R2))
+    a = np.eye(2, dtype=complex) * R2
+    m = core.PModule(legs=(a, a))
+    assert not np.shares_memory(m.A, a) and not m.A.flags.writeable
+    a[0, 0] = 5.0
+    assert m.A[0, 0] == R2
+
+
+def test_computed_modules_take_the_trusted_route():
+    # Results built from validated legs skip the public gate; their legs are
+    # read-only and equal, bit for bit, to what the public constructor builds.
+    m = families.random_module(3, "N", seed=1400)
+    mt = families.random_module(2, "M", seed=1401)
+    q = random_unitary(np.random.default_rng(1402), 3)[:, :2]
+    results = {
+        "boxtimes": core.boxtimes(m, mt),
+        "dual_module": core.dual_module(m),
+        "kawamura_tensor": core.kawamura_tensor(m, mt),
+        "direct_sum": core.direct_sum(m, mt),
+        "_restricted_module": structure._restricted_module(m, q),
+    }
+    for name, r in results.items():
+        assert isinstance(r.legs, tuple), name
+        for leg, want in zip(r.legs, core.PModule(legs=r.legs).legs):
+            assert leg.dtype == np.complex128 and leg.flags.c_contiguous, name
+            assert not leg.flags.writeable, name
+            assert np.array_equal(leg, want), name
+
+
 def test_module_shape_checks():
     with pytest.raises(ShapeMismatch):
         core.PModule(legs=(np.eye(2), np.eye(3)))
@@ -343,6 +377,35 @@ def test_dual_requires_invertible_legs():
         core.dual_module(boundary)
 
 
+def test_dual_not_invertible_names_the_leg():
+    cases = [((0.0, 1.0), "leg A"), ((1.0, 0.0), "leg B"), ((0.0, 0.0), "leg A")]
+    for (a, b), leg in cases:
+        with pytest.raises(NotInvertible, match=f"{leg} is numerically singular"):
+            core.dual_module(core.scalar_module(a, b))
+
+
+@pytest.mark.parametrize("d", [4, 64])
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_dual_gate_agrees_with_is_invertible(d, factor):
+    # dual_module gates on polar's singular values, is_invertible on a full
+    # SVD; at half and twice the threshold they decide alike. At d = 64 the
+    # threshold is d * rtol, above the floor _GRAM_FLOOR.
+    rng = np.random.default_rng(1500 + d)
+    threshold = max(d * la.DEFAULT_RTOL, la._GRAM_FLOOR)
+    assert (d * la.DEFAULT_RTOL > la._GRAM_FLOOR) == (d == 64)
+    sigma = np.concatenate([[factor * threshold], np.linspace(0.5, 1.0, d - 1)])
+    leg = (random_unitary(rng, d) * sigma) @ random_unitary(rng, d).conj().T
+    other = random_unitary(rng, d) * R2
+    assert la.is_invertible(leg) == (factor > 1.0)
+    for legs, name in (((leg, other), "A"), ((other, leg), "B")):
+        m = core.PModule(legs=legs)
+        if factor > 1.0:
+            core.dual_module(m)
+        else:
+            with pytest.raises(NotInvertible, match=f"leg {name} "):
+                core.dual_module(m)
+
+
 def test_dual_double_dual_entrywise():
     m = families.random_module(2, "N", seed=77)
     dd = core.dual_module(core.dual_module(m))
@@ -544,6 +607,9 @@ _QUAD = core.kawamura_tensor(core.unit_module(), core.unit_module())
 _ERROR_CASES = {
     "as_matrix-ndim1": (lambda: la.as_matrix([1.0, 2.0]), ShapeMismatch),
     "as_matrix-nan": (lambda: la.as_matrix([[1.0, np.nan], [0.0, 1.0]]), ShapeMismatch),
+    "as_matrix-inf-real": (lambda: la.as_matrix([[1.0, complex(-np.inf, 0.0)]]), ShapeMismatch),
+    "as_matrix-nan-imag": (lambda: la.as_matrix([[1.0, complex(0.0, np.nan)]]), ShapeMismatch),
+    "as_matrix-inf-imag": (lambda: la.as_matrix([[1.0, complex(0.0, np.inf)]]), ShapeMismatch),
     "hermitian_eig-nonsquare": (lambda: la.hermitian_eig(np.zeros((2, 3))), ShapeMismatch),
     "commutation_kernel-empty": (lambda: la.commutation_kernel([]), ValueError),
     "intertwiner_basis-arity": (

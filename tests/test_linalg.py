@@ -112,6 +112,23 @@ def test_polar_examples():
     assert np.allclose(p.unitary, np.array([[0, 1], [1, 0]]))
 
 
+def test_polar_returns_its_singular_values():
+    # Ascending square roots of the clipped eigenvalues of m* m, on the three
+    # return routes: invertible, singular, zero.
+    rng = np.random.default_rng(210)
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    singular = m.copy()
+    singular[:, 0] = 0
+    for x in (m, singular, np.zeros((3, 3), dtype=complex)):
+        pair = la.polar(x)
+        want = np.sqrt(np.clip(la.hermitian_eig(la.dagger(x) @ x).values, 0.0, None))
+        assert np.array_equal(pair.singular_values, want)
+        assert np.allclose(pair.singular_values, np.linalg.svd(x, compute_uv=False)[::-1], atol=1e-7)
+    # The field is trailing and defaulted: the two factors alone still build a pair.
+    pair = la.PolarPair(np.eye(2), np.eye(2))
+    assert pair.singular_values is None
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 12])
 def test_polar_reconstruction_seeded(n):
     rng = np.random.default_rng(200 + n)

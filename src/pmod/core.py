@@ -95,6 +95,14 @@ def unit_module() -> PModule:
     return scalar_module(r, r)
 
 
+def _check_range(op: str, m: PModule, mt: PModule, gain: float = 1.0) -> None:
+    """ShapeMismatch unless gain * the largest leg entries of m and mt, op's bound, is < 1e300."""
+    a, b = (max(float(np.abs(leg).max(initial=0.0)) for leg in mod.legs) for mod in (m, mt))
+    top = gain * a * b  # Python floats: an overflow gives inf with no numpy warning
+    if not top < 1e300:
+        raise ShapeMismatch(f"{op} leaves the float range (entries up to {top:.3e})")
+
+
 def _require_arity2(m: PModule, op: str) -> None:
     if m.arity != 2:
         raise ArityUnsupported(f"{op} is defined for two-leg modules, got arity {m.arity}")
@@ -185,8 +193,8 @@ def _kron_right(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _fusion_factors(m: PModule, mt: PModule, rtol: float):
     """(V, Vt, s): eigenbases of A*A and At*At, and K^-1's gated spectrum on V x Vt."""
-    ga = la.hermitian_eig(la.dagger(m.A) @ m.A, rtol)
-    gat = la.hermitian_eig(la.dagger(mt.A) @ mt.A, rtol)
+    ga = la.hermitian_eig(la.gram(m.A), rtol)
+    gat = la.hermitian_eig(la.gram(mt.A), rtol)
     alpha = np.clip(ga.values, 0.0, 1.0)
     alphat = np.clip(gat.values, 0.0, 1.0)
     k2 = np.outer(alpha, alphat).ravel() + np.outer(1.0 - alpha, 1.0 - alphat).ravel()
@@ -211,6 +219,8 @@ def boxtimes(m: PModule, mt: PModule, rtol: float = la.DEFAULT_RTOL) -> PModule:
     _require_arity2(m, "boxtimes")
     _require_arity2(mt, "boxtimes")
     v, vt, s = _fusion_factors(m, mt, rtol)
+    # V, Vt unitary: no entry or partial sum exceeds ||X|| ||Xt|| max(s), and ||X|| <= d max|X_ij|.
+    _check_range("boxtimes", m, mt, m.dim * mt.dim * float(s.max()))
     return PModule._trusted(
         _kron_right(la.kron(x @ v, xt @ vt) * s, v, vt) for x, xt in zip(m.legs, mt.legs)
     )
@@ -377,6 +387,7 @@ def kawamura_tensor(m: PModule, mt: PModule) -> PModule:
     The Pythagorean identity holds algebraically, no normalizer involved.
     Associative entrywise; not symmetric.
     """
+    _check_range("kawamura_tensor", m, mt)
     return PModule._trusted(la.kron(x, y) for x in m.legs for y in mt.legs)
 
 

@@ -35,8 +35,8 @@ _GS_KEEP = 1e-6
 # Relative floor of the invertibility and polar rank gates. polar decides
 # rank on the eigenvalues of m* m, which square the singular values, so true
 # zeros resurface there at ~sqrt(machine eps). _invertible applies the same
-# floor to the singular values, from a full SVD (is_invertible) or from
-# polar's own (core.dual_module), so an invertible leg is full rank to polar.
+# floor to the singular values, from a full SVD (is_invertible) or polar's
+# own (dual_module, atomic_diffuse_fuse): an invertible leg is full rank to polar.
 _GRAM_FLOOR = 5e-8
 
 
@@ -65,6 +65,12 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 def frobenius(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
+
+
+def gram(m: np.ndarray) -> np.ndarray:
+    """m* m made exactly Hermitian: matmul rounding fails hermitian_eig's gate at rtol 0."""
+    g = dagger(m) @ m
+    return (g + dagger(g)) / 2.0
 
 
 def kron(m: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -263,7 +269,7 @@ def is_invertible(m: np.ndarray, rtol: float = DEFAULT_RTOL) -> bool:
     """Relative invertibility gate: smallest singular value > dim*rtol*largest.
 
     From a full SVD, floored at _GRAM_FLOOR, polar's rank floor: invertible
-    means full rank to polar. dual_module applies it to polar's own values.
+    means full rank to polar.
     """
     return _invertible(*singular_extremes(m), m.shape[0], rtol)
 
@@ -279,7 +285,7 @@ def polar(m: np.ndarray, rtol: float = DEFAULT_RTOL) -> PolarPair:
     """
     m = as_matrix(m)
     n = _check_square(m)
-    eig = hermitian_eig(dagger(m) @ m, rtol)
+    eig = hermitian_eig(gram(m), rtol)
     sigma = np.sqrt(np.clip(eig.values, 0.0, None))
     smax = float(sigma[-1]) if n else 0.0
     positive = (eig.vectors * sigma) @ dagger(eig.vectors)

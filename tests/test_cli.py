@@ -468,6 +468,20 @@ def test_cli_fuse_and_roundtrip(files, capsys):
     assert leg_defect(fused, want) <= 1e-10
 
 
+def test_cli_fuse_and_dual_at_tol_0(capsys, tmp_path):
+    # The Gram matrices pmod forms itself are exactly Hermitian, so --tol 0
+    # passes the Hermiticity gate and prints what the default tolerance does.
+    path = str(tmp_path / "x.json")
+    for dim, seed in ((3, 7), (3, 1), (2, 1), (6, 1)):
+        code, sample, _ = run_cli(capsys, "sample", "--dim", str(dim), "--seed", str(seed), "--format", "json")
+        assert code == 0
+        Path(path).write_text(sample, encoding="utf-8")
+        for argv in (("fuse", path, path), ("dual", path)):
+            default = run_cli(capsys, *argv, "--format", "json")
+            assert default[0] == 0
+            assert run_cli(capsys, *argv, "--format", "json", "--tol", "0") == default
+
+
 def test_cli_fuse_kernel_overlap_exit_1(files, capsys):
     _, write = files
     a = write("p10.json", core.scalar_module(1.0, 0.0))

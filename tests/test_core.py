@@ -1,6 +1,7 @@
 """Module algebra tests: validation, star, fusion, duals, scalars, words."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -404,6 +405,17 @@ def test_dual_gate_agrees_with_is_invertible(d, factor):
         else:
             with pytest.raises(NotInvertible, match=f"leg {name} "):
                 core.dual_module(m)
+
+
+def test_products_refuse_legs_that_overflow():
+    # Legs far outside the Pythagorean identity pass the public constructor;
+    # their products are refused with a typed error, not returned as inf.
+    m = core.PModule(legs=(0.5 * np.eye(2), 1e200 * np.eye(2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for op in (core.boxtimes, core.kawamura_tensor):
+            with pytest.raises(ShapeMismatch, match="float range"):
+                op(m, m)
 
 
 def test_dual_double_dual_entrywise():

@@ -11,7 +11,7 @@ from pmod import core, families, structure
 from pmod import linalg as la
 from pmod.errors import NotD2Shape, NotInvertible, NotPrime
 
-from conftest import d2_display_pair, random_d2, random_gp, restricted
+from conftest import d2_display_pair, random_d2, random_gp, random_unitary, restricted
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +245,27 @@ def test_atomic_diffuse_fuse_requires_invertible():
         families.atomic_diffuse_fuse(
             families.AtomicLabel("01", 1.0), core.scalar_module(1.0, 0.0)
         )
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_atomic_diffuse_fuse_gates_on_polar_singular_values(monkeypatch, factor):
+    # The gate reads the singular values polar returns, with no full SVD,
+    # and at half and twice the threshold d * rtol decides as is_invertible
+    # does (rtol 1e-3 keeps polar's unitary factor accurate there).
+    rng = np.random.default_rng(1504)
+    d, rtol, label = 4, 1e-3, families.AtomicLabel("011", 1.0)
+    sigma = np.concatenate([[factor * d * rtol], np.linspace(0.5, 1.0, d - 1)])
+    leg = (random_unitary(rng, d) * sigma) @ random_unitary(rng, d).conj().T
+    other = random_unitary(rng, d) / np.sqrt(2)
+    assert la.is_invertible(leg, rtol) == (factor > 1.0)
+    monkeypatch.setattr(la, "singular_extremes", lambda m: pytest.fail("full SVD"))
+    for legs in ((leg, other), (other, leg)):
+        m = core.PModule(legs=legs)
+        if factor > 1.0:
+            assert len(families.atomic_diffuse_fuse(label, m, rtol)) == d
+        else:
+            with pytest.raises(NotInvertible):
+                families.atomic_diffuse_fuse(label, m, rtol)
 
 
 # ---------------------------------------------------------------------------

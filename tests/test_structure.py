@@ -509,9 +509,9 @@ def test_equivalent_atomic_rotated_word_same_phase():
     assert structure.equivalent(canonical, rotated).verdict is True
 
 
-def test_equivalent_false_from_commutant_dimensions():
-    # Cauchy-Schwarz case: dim Hom(m, mt) = dim End(m) = 2 but dim End(mt) = 5,
-    # so the dimensions, not an empty Hom, decide inequivalence.
+def test_equivalent_false_by_weyl_where_commutant_dimensions_differ():
+    # dim Hom(m, mt) = dim End(m) = 2 but dim End(mt) = 5: the probe spectra
+    # already differ far beyond the Weyl bound, which decides.
     m = core.direct_sum(core.unit_module(), families.random_module(2, "N", seed=21))
     units = core.direct_sum(core.unit_module(), core.unit_module())
     mt = core.direct_sum(units, core.scalar_module(0.6, 0.8))
@@ -521,6 +521,7 @@ def test_equivalent_false_from_commutant_dimensions():
     for a, b in ((m, mt), (mt, m)):
         res = structure.equivalent(a, b)
         assert res.verdict is False and res.witness is None
+        assert res.reason.startswith("probe spectra differ")
 
 
 def test_equivalent_decides_without_decomposing(monkeypatch):
@@ -879,15 +880,19 @@ def test_degenerate_probe_falls_back_to_commutant_split(monkeypatch):
         _same_decomposition(m, want, got)
 
 
+def _noisy(m, eps, rng):
+    return core.PModule(legs=tuple(
+        leg + eps * (rng.standard_normal(leg.shape) + 1j * rng.standard_normal(leg.shape))
+        for leg in m.legs
+    ))
+
+
 def test_noisy_twin_replay_failure_falls_back(monkeypatch):
     # Noise of 1e-9 on the twin defeats the replayed witness; the verdict is
-    # then the Hom/End route's, the same as with the replay left out.
-    rng = np.random.default_rng(1)
+    # then the Hom route's, the same as with the replay left out, and never
+    # False: an empty Hom at rtol 1e-9 certifies nothing.
     m, twin, _ = _structure_inputs(1)[0]
-    noisy = core.PModule(legs=tuple(
-        leg + 1e-9 * (rng.standard_normal(leg.shape) + 1j * rng.standard_normal(leg.shape))
-        for leg in twin.legs
-    ))
+    noisy = _noisy(twin, 1e-9, np.random.default_rng(1))
     for rtol in (1e-9, 1e-8):
         with monkeypatch.context() as mp:
             calls = _count_commutant_solves(mp)
@@ -898,4 +903,24 @@ def test_noisy_twin_replay_failure_falls_back(monkeypatch):
             want = structure.equivalent(m, noisy, rtol=rtol)
         assert (got.verdict, got.reason) == (want.verdict, want.reason)
         assert got.reason != "replayed spin of the probe's eigenvectors"
+        assert got.verdict is not False, (rtol, got.reason)
     assert got.verdict is True and structure._verify_witness(m, noisy, got.witness, 1e-8)
+
+
+def test_equivalent_verdicts_never_flip_under_noise(monkeypatch):
+    # Noise and rtol may weaken a verdict to None, never turn it over: twins
+    # are never False and false twins never True. At most one *-intertwiner
+    # solve per call.
+    for seed in (1, 2, 3):
+        for i, (m, twin, false_twin) in enumerate(_structure_inputs(seed)):
+            for j, rtol in enumerate((1e-11, 1e-10, 1e-9)):
+                for k, eps in enumerate((1e-11, 1e-10, 1e-9)):
+                    rng = np.random.default_rng([seed, i, j, k])
+                    for other, never in ((twin, False), (false_twin, True)):
+                        if other is None:
+                            continue
+                        with monkeypatch.context() as mp:
+                            calls = _count_commutant_solves(mp)
+                            res = structure.equivalent(m, _noisy(other, eps, rng), rtol=rtol)
+                        assert res.verdict is not never, (seed, i, rtol, eps, res.reason)
+                        assert len(calls) <= 1

@@ -96,7 +96,7 @@ def unit_module() -> PModule:
 
 
 def _check_range(op: str, m: PModule, mt: PModule, gain: float = 1.0) -> None:
-    """ShapeMismatch unless gain * the largest leg entries of m and mt, op's bound, is < 1e300."""
+    """ShapeMismatch unless gain * max|m entry| * max|mt entry|, bounding op's entries, < 1e300."""
     a, b = (max(float(np.abs(leg).max(initial=0.0)) for leg in mod.legs) for mod in (m, mt))
     top = gain * a * b  # Python floats: an overflow gives inf with no numpy warning
     if not top < 1e300:

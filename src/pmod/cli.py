@@ -13,10 +13,14 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import core, families, fileio, structure
+from . import core, fileio
 from . import linalg as la
 from .errors import ParseError, PModError
+
+if TYPE_CHECKING:
+    from . import families, structure
 
 
 def _read(path: str) -> str:
@@ -56,42 +60,49 @@ def _cmd_dual(args) -> core.PModule:
 
 
 def _cmd_decompose(args) -> structure.DecompositionReport:
+    from . import structure
     return structure.decompose_full(
         _load_module(args.module, args.tol), args.tol, seed=args.seed
     )
 
 
 def _cmd_classify(args) -> structure.ClassifyReport:
+    from . import structure
     return structure.classify_parts(
         _load_module(args.module, args.tol), args.tol, max_len=args.max_word_len
     )
 
 
 def _cmd_equiv(args) -> structure.EquivalenceResult:
+    from . import structure
     a = _load_module(args.left, args.tol)
     b = _load_module(args.right, args.tol)
     return structure.equivalent(a, b, args.tol, seed=args.seed)
 
 
 def _cmd_atomic(args) -> list:
+    from . import structure
     return structure.atomic_part(
         _load_module(args.module, args.tol), max_len=args.max_word_len, rtol=args.tol
     )
 
 
 def _cmd_gp_fuse(args) -> list:
+    from . import families
     z = fileio.parse_gp_vector(args.z)
     zt = fileio.parse_gp_vector(args.zt)
     return families.gp_fuse(z, zt)
 
 
 def _cmd_d2_fuse(args) -> families.D2FuseReport:
+    from . import families
     a = _load_module(args.left, args.tol)
     b = _load_module(args.right, args.tol)
     return families.d2_fuse(a, b, args.tol)
 
 
 def _cmd_sample(args) -> tuple:
+    from . import families
     module = families.random_module(
         args.dim, args.class_tag, seed=args.seed, zero_eigenvalues=args.zeros
     )
@@ -99,6 +110,7 @@ def _cmd_sample(args) -> tuple:
 
 
 def _cmd_prime_words(args) -> list:
+    from . import families
     return families.prime_words(args.length)
 
 

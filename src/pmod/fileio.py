@@ -13,11 +13,15 @@ from __future__ import annotations
 
 import json
 from math import isfinite
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import core, families, structure
+from . import core
 from .errors import ParseError, PythagoreanViolation, ShapeError, ShapeMismatch
+
+if TYPE_CHECKING:
+    from . import families, structure
 
 
 def _round12(x: float) -> float:
@@ -182,6 +186,7 @@ def parse_gp_vector(text: str) -> families.GPVector:
             f"GP vector entries leave the unit sphere (defect {defect:.3e})",
             residual=defect,
         )
+    from . import families
     return families.GPVector(entries=tuple(entries))
 
 
@@ -192,7 +197,8 @@ def _atomic_payload(s: structure.AtomicSummand) -> dict:
 
 def report_payload(report) -> dict:
     """Canonical payload for every report type the CLI emits; matrices are
-    _Matrix values, which _dumps writes as nested [re, im] pairs."""
+    _Matrix values, which _dumps writes as nested [re, im] pairs. The families
+    and structure layers are imported only for reports no earlier type matches."""
     if isinstance(report, core.PModule):
         return _module_payload(report)
     if isinstance(report, core.ValidationReport):
@@ -202,6 +208,22 @@ def report_payload(report) -> dict:
         reals = ("quantum_dim", "zigzag_residual", "ev_residual", "coev_residual")
         payload = {name: _round12(getattr(report, name)) for name in reals}
         return {"type": "duality", "ev_factor": _pair(report.ev_factor), **payload}
+    if isinstance(report, list) and report and all(isinstance(w, str) for w in report):
+        return {"type": "prime-words", "count": len(report), "words": list(report)}
+    from . import families  # already loaded by whatever built a families or structure report
+    if isinstance(report, families.D2FuseReport):
+        splits = [
+            None if split is None else [{"a": _pair(s.a), "b": _pair(s.b)} for s in split]
+            for split in report.scalar_splits
+        ]
+        blocks = [_module_payload(b) for b in report.blocks]
+        return {"type": "d2-fusion", "blocks": blocks, "scalar_splits": splits}
+    if isinstance(report, list) and report and isinstance(report[0], families.GPVector):
+        vectors = [[[_pair(a), _pair(b)] for a, b in y.entries] for y in report]
+        return {"type": "gp-fusion", "count": len(report), "vectors": vectors}
+    from . import structure
+    if isinstance(report, list) and (not report or isinstance(report[0], structure.AtomicSummand)):
+        return {"type": "atomic-part", "summands": [_atomic_payload(s) for s in report]}
     if isinstance(report, structure.DecompositionReport):
         return {
             "type": "decomposition",
@@ -237,21 +259,6 @@ def report_payload(report) -> dict:
         if report.witness is not None:
             payload["witness"] = _Matrix(report.witness)
         return payload
-    if isinstance(report, families.D2FuseReport):
-        splits = [
-            None if split is None else [{"a": _pair(s.a), "b": _pair(s.b)} for s in split]
-            for split in report.scalar_splits
-        ]
-        blocks = [_module_payload(b) for b in report.blocks]
-        return {"type": "d2-fusion", "blocks": blocks, "scalar_splits": splits}
-    if isinstance(report, list):
-        if not report or isinstance(report[0], structure.AtomicSummand):
-            return {"type": "atomic-part", "summands": [_atomic_payload(s) for s in report]}
-        if isinstance(report[0], families.GPVector):
-            vectors = [[[_pair(a), _pair(b)] for a, b in y.entries] for y in report]
-            return {"type": "gp-fusion", "count": len(report), "vectors": vectors}
-        if all(isinstance(w, str) for w in report):
-            return {"type": "prime-words", "count": len(report), "words": list(report)}
     raise TypeError(f"no renderer for {type(report).__name__}")
 
 

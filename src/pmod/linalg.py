@@ -33,11 +33,17 @@ DEFAULT_RTOL = 1e-9
 _GS_KEEP = 1e-6
 
 # Relative floor of the invertibility and polar rank gates. polar decides
-# rank on the eigenvalues of m* m, which square the singular values, so true
-# zeros resurface there at ~sqrt(machine eps). _invertible applies the same
-# floor to the singular values, from a full SVD (is_invertible) or polar's
-# own (dual_module, atomic_diffuse_fuse): an invertible leg is full rank to polar.
+# rank on the eigenvalues of m* m (on an SVD only when m is ill-conditioned),
+# which square the singular values, so true zeros resurface there at
+# ~sqrt(machine eps). _invertible applies the same floor to the singular
+# values, from a full SVD (is_invertible) or polar's own (dual_module,
+# atomic_diffuse_fuse): an invertible leg is full rank to polar.
 _GRAM_FLOOR = 5e-8
+
+# polar's switch from the eigensolve of m* m to an SVD of m: below this ratio
+# of smallest kept to largest singular value, eps * (smax / smin)^2 would show
+# in the unitary factor (about 2e-10 at the ratio itself).
+_POLAR_SVD = 1e-3
 
 
 def _lapack(routine, *args, **kwargs):
@@ -280,22 +286,31 @@ def polar(m: np.ndarray, rtol: float = DEFAULT_RTOL) -> PolarPair:
     On the kernel of P the unitary factor is fixed by matching deterministic
     Gram-Schmidt bases of ker|m| and ker|m*| in ascending standard-basis
     order; with that convention the output is unique and reproducible. Total
-    on square matrices. The singular values returned are the square roots of
-    the clipped eigenvalues of m* m, so callers need no SVD of m to gate it.
+    on square matrices. The factors come from one eigensolve of m* m, whose
+    clipped eigenvalues' square roots are the singular values returned, so
+    callers need no SVD of m to gate it. That route leaves U off unitary by
+    about eps * (smax / smin)^2, so when the smallest kept singular value is
+    below _POLAR_SVD * smax, the factors and singular values come from an
+    SVD of m instead.
     """
     m = as_matrix(m)
     n = _check_square(m)
     eig = hermitian_eig(gram(m), rtol)
-    sigma = np.sqrt(np.clip(eig.values, 0.0, None))
+    sigma, vectors = np.sqrt(np.clip(eig.values, 0.0, None)), eig.vectors
     smax = float(sigma[-1]) if n else 0.0
-    positive = (eig.vectors * sigma) @ dagger(eig.vectors)
+    floor = max(rtol, _GRAM_FLOOR) * smax
+    keep, left = sigma > floor, None
+    if smax > 0.0 and sigma[keep][0] < _POLAR_SVD * smax:
+        left, sigma, vh = thin_svd(m)
+        left, sigma, vectors = left[:, ::-1], sigma[::-1], dagger(vh)[:, ::-1]
+        keep = sigma > floor
+    positive = (vectors * sigma) @ dagger(vectors)
     positive = (positive + dagger(positive)) / 2.0
     if smax == 0.0:
         return PolarPair(np.eye(n, dtype=np.complex128), positive, sigma)
-    keep = sigma > max(rtol, _GRAM_FLOOR) * smax
-    qr = eig.vectors[:, keep]
+    qr = vectors[:, keep]
     # Columns of w are the left singular vectors over the co-kernel.
-    w = m @ (qr / sigma[keep])
+    w = m @ (qr / sigma[keep]) if left is None else left[:, keep]
     u = w @ dagger(qr)
     if keep.all():
         return PolarPair(u, positive, sigma)

@@ -25,6 +25,12 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def child_env() -> dict:
+    """The environment of a fresh interpreter that imports pmod from this checkout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 # ---------------------------------------------------------------------------
 # File format.
 # ---------------------------------------------------------------------------
@@ -557,12 +563,10 @@ def test_cli_closed_stdout_exits_1_without_traceback(files):
     path = write("a.json", families.random_module(4, "N", seed=1))
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     try:
         done = subprocess.run(
             [sys.executable, "-m", "pmod.cli", "fuse", path, path, "--format", "json"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            stdout=write_end, stderr=subprocess.PIPE, env=child_env(), timeout=120,
         )
     finally:
         os.close(write_end)
@@ -810,3 +814,96 @@ def test_main_fuzz(tmp_path_factory, argv, tol, fmt):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main([*args, "--tol", tol, "--format", fmt])
     assert code in (0, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# Layers load on first use, checked in fresh interpreters.
+# ---------------------------------------------------------------------------
+
+_PACKAGE_CONTRACT = """
+import sys
+import pmod.cli
+loaded = {name for name in sys.modules if name.startswith("pmod.")}
+assert not loaded & {"pmod.families", "pmod.structure"}, sorted(loaded)
+import pmod
+assert set(dir(pmod)) >= set(pmod.__all__)
+for name in pmod.__all__:
+    obj = getattr(pmod, name)
+    home = obj.__module__.split(".")[1]
+    assert obj is getattr(getattr(pmod, home), name), name
+namespace = {}
+exec("from pmod import *", namespace)
+assert all(namespace[name] is getattr(pmod, name) for name in pmod.__all__)
+assert not hasattr(pmod, "no_such_name")
+try:
+    pmod.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+print("ok")
+"""
+
+
+def test_package_names_load_on_first_use():
+    done = subprocess.run(
+        [sys.executable, "-c", _PACKAGE_CONTRACT], capture_output=True, env=child_env(), timeout=120
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout == b"ok\n"
+
+
+# Runs the CLI, then names on stderr the pmod modules the run loaded.
+_CLI_CHILD = """
+import sys
+import pmod.cli
+code = pmod.cli.main(sys.argv[1:])
+print(" ".join(sorted(name for name in sys.modules if name.startswith("pmod."))), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _child_render_cases(tmp_path):
+    """(id, argv, in-process rendering, whether the run may load structure)."""
+
+    def write(name, module):
+        path = tmp_path / name
+        path.write_text(fileio.serialize_module(module))
+        return str(path)
+
+    def load(path):
+        return fileio.parse_module_file(Path(path).read_text())[0]
+
+    z = json.dumps([[[0.6, 0.0], [0.8, 0.0]], [[0.8, 0.0], [0.0, 0.6]]])
+    zt = json.dumps([[[0.6, 0.0], [0.8, 0.0]], [[0.8, 0.0], [0.6, 0.0]], [[0.0, 0.6], [0.8, 0.0]]])
+    d2a, d2b = (write(f"d2{k}.json", m) for k, m in zip("ab", d2_display_pair()))
+    mixed = write("mixed.json", core.direct_sum(
+        families.atomic_module(families.AtomicLabel("01", 1j)), families.random_module(3, "N", seed=1)))
+    diffuse = write("diffuse.json", families.random_module(2, "N", seed=44))
+    return [
+        ("gp-fuse", ["gp-fuse", "--z", z, "--zt", zt, "--format", "json"],
+         lambda: fileio.render_report(families.gp_fuse(fileio.parse_gp_vector(z), fileio.parse_gp_vector(zt)), "json"),
+         False),
+        ("d2-fuse", ["d2-fuse", d2a, d2b],
+         lambda: fileio.render_report(families.d2_fuse(load(d2a), load(d2b)), "text"), False),
+        ("prime-words", ["prime-words", "5"], lambda: fileio.render_report(families.prime_words(5), "text"), False),
+        ("sample", ["sample", "--dim", "3", "--seed", "1"],
+         lambda: fileio.render_module(families.random_module(3, "N", seed=1), {"class_tag": "N", "seed": 1}, "text"),
+         False),
+        ("classify", ["classify", mixed, "--format", "json"],
+         lambda: fileio.render_report(structure.classify_parts(load(mixed)), "json"), True),
+        ("atomic-empty", ["atomic", diffuse, "--format", "json"],
+         lambda: fileio.render_report(structure.atomic_part(load(diffuse)), "json"), True),
+    ]
+
+
+def test_child_renders_lazily_dispatched_reports(tmp_path):
+    # Each report type that fileio dispatches on after importing families or
+    # structure renders in a fresh process exactly as it does in this one.
+    for case, argv, render, needs_structure in _child_render_cases(tmp_path):
+        done = subprocess.run(
+            [sys.executable, "-c", _CLI_CHILD, *argv], capture_output=True, env=child_env(), timeout=120
+        )
+        assert done.returncode == 0, (case, done.stderr.decode())
+        assert done.stdout.decode() == render() + "\n", case
+        loaded = done.stderr.decode().split()
+        assert ("pmod.structure" in loaded) == needs_structure, (case, loaded)
+    assert json.loads(render()) == {"type": "atomic-part", "summands": []}  # the last case

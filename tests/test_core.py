@@ -407,6 +407,27 @@ def test_dual_gate_agrees_with_is_invertible(d, factor):
                 core.dual_module(m)
 
 
+@pytest.mark.parametrize("ratio", [1e-7, 5e-7, 5e-6])
+def test_ill_conditioned_leg_keeps_polar_unitary(ratio):
+    # A leg with smallest / largest singular value `ratio` passes the
+    # invertibility gate. The eigensolve of A* A alone left polar's unitary off
+    # by about eps / ratio^2: dual_module returned a module failing the identity
+    # and atomic_diffuse_fuse raised an untyped ValueError on a phase.
+    rng = np.random.default_rng(1504)
+    d = 4
+    s = 0.8 * np.concatenate([[ratio], np.linspace(0.5, 1.0, d - 1)])
+    v = random_unitary(rng, d)
+    a = (random_unitary(rng, d) * s) @ v.conj().T
+    b = (random_unitary(rng, d) * np.sqrt(1 - s**2)) @ v.conj().T
+    m = core.PModule(legs=(a, b))
+    pair = la.polar(a)
+    assert np.linalg.norm(pair.unitary @ pair.unitary.conj().T - np.eye(d)) <= 1e-13
+    assert np.allclose(pair.singular_values, np.sort(s), rtol=0, atol=1e-14)
+    assert core.validate(core.dual_module(m)).residual <= 1e-13
+    labels = families.atomic_diffuse_fuse(families.AtomicLabel("011", 1.0), m)
+    assert len(labels) == d
+
+
 def test_products_refuse_legs_that_overflow():
     # Legs far outside the Pythagorean identity pass the public constructor;
     # their products are refused with a typed error, not returned as inf.

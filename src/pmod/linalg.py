@@ -298,12 +298,12 @@ def polar(m: np.ndarray, rtol: float = DEFAULT_RTOL) -> PolarPair:
     eig = hermitian_eig(gram(m), rtol)
     sigma, vectors = np.sqrt(np.clip(eig.values, 0.0, None)), eig.vectors
     smax = float(sigma[-1]) if n else 0.0
-    floor = max(rtol, _GRAM_FLOOR) * smax
-    keep, left = sigma > floor, None
-    if smax > 0.0 and sigma[keep][0] < _POLAR_SVD * smax:
+    keep, left = sigma > max(rtol, _GRAM_FLOOR) * smax, None
+    if keep.any() and sigma[keep][0] < _POLAR_SVD * smax:
         left, sigma, vh = thin_svd(m)
         left, sigma, vectors = left[:, ::-1], sigma[::-1], dagger(vh)[:, ::-1]
-        keep = sigma > floor
+        smax = float(sigma[-1])
+        keep = sigma > max(rtol, _GRAM_FLOOR) * smax
     positive = (vectors * sigma) @ dagger(vectors)
     positive = (positive + dagger(positive)) / 2.0
     if smax == 0.0:

@@ -549,11 +549,14 @@ def test_cli_pythagorean_violation_exit_2(files, capsys, tmp_path):
 
 
 def test_cli_dual_not_invertible_exit_1(files, capsys):
+    # A singular leg, and a --tol whose rank floor keeps no singular value.
     _, write = files
-    path = write("p10.json", core.scalar_module(1.0, 0.0))
-    code, _, err = run_cli(capsys, "dual", path)
-    assert code == 1
-    assert "NotInvertible" in err
+    singular = write("p10.json", core.scalar_module(1.0, 0.0))
+    generic = write("n4.json", families.random_module(4, "N", seed=1))
+    for argv in ((singular,), (generic, "--tol", "1"), (generic, "--tol", "inf")):
+        code, _, err = run_cli(capsys, "dual", *argv)
+        assert code == 1
+        assert "NotInvertible" in err
 
 
 def test_cli_closed_stdout_exits_1_without_traceback(files):

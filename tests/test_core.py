@@ -376,6 +376,13 @@ def test_dual_requires_invertible_legs():
     boundary = families.random_module(3, "M", seed=12, zero_eigenvalues=1)
     with pytest.raises(NotInvertible):
         core.dual_module(boundary)
+    # A tolerance whose rank floor keeps no singular value refuses any leg.
+    generic = families.random_module(4, "N", seed=1)
+    for rtol in (1.0, np.inf, np.nan):
+        with pytest.raises(NotInvertible):
+            core.dual_module(generic, rtol)
+        with pytest.raises(NotInvertible):
+            families.atomic_diffuse_fuse(families.AtomicLabel("01", 1.0), generic, rtol)
 
 
 def test_dual_not_invertible_names_the_leg():

@@ -111,6 +111,12 @@ def test_polar_examples():
     assert np.allclose(p.positive, np.diag([1.0, 0.0]))
     assert np.allclose(p.unitary, np.array([[0, 1], [1, 0]]))
 
+    # A rank floor at or above the largest singular value (or nan) keeps
+    # nothing: the unitary is the kernel completion alone.
+    for rtol in (1.0, np.inf, np.nan):
+        p = la.polar(np.diag([0.6, 0.8]).astype(complex), rtol)
+        assert np.allclose(p.unitary, np.eye(2))
+
 
 def test_polar_returns_its_singular_values():
     # Ascending square roots of the clipped eigenvalues of m* m, on the three

@@ -425,18 +425,12 @@ def _reduced_kernel(pairs, tau: float) -> list[np.ndarray] | None:
     return out
 
 
-def cluster_gap(values: np.ndarray) -> float:
-    """1e-8 * max(spread, 1), spread = values[-1] - values[0] (ascending
-    values): the largest gap inside one cluster of eigenvalues."""
-    return 1e-8 * max(float(values[-1] - values[0]), 1.0)
-
-
 def cluster_runs(values: np.ndarray) -> list[tuple[int, int]]:
     """[start, stop) runs of ascending values separated by gaps <=
-    cluster_gap(values)."""
+    1e-8 * max(spread, 1), spread = values[-1] - values[0]."""
     if not values.size:
         return []
-    gap = cluster_gap(values)
+    gap = 1e-8 * max(float(values[-1] - values[0]), 1.0)
     bounds = [0, *(np.flatnonzero(np.diff(values) > gap) + 1).tolist(), values.size]
     return list(zip(bounds, bounds[1:]))
 

@@ -1,16 +1,16 @@
 """Structural analysis: intertwiners, decomposition, equivalence, parts.
 
-The complete part of a module is the smallest leg-invariant subspace whose
-orthocomplement contains no nonzero leg-invariant subspace; its dimension is
-the module's intrinsic dimension (invariant under the induced-representation
-functors). There is no closed-form algorithm for it, so the search below
-combines exact ingredients: atomic carriers found through norm-preservation
-kernels along the prefixes of Lyndon words no longer than d, and a
-forced-completion loop run on spins (closures under the legs or their
-adjoints): its stopping certificate, the largest invariant subspace inside
-the orthocomplement, is the complement of an adjoint spin, and each piece
-it adds is cut to a minimal invariant subspace by Norton's irreducibility
-test. The ``confidence`` field reports certified versus heuristic results.
+The complete part (the smallest leg-invariant subspace whose complement
+holds no nonzero leg-invariant subspace; its dimension is the intrinsic
+dimension) has no closed form, so its search combines atomic carriers, from
+norm-preservation kernels along Lyndon-word prefixes no longer than d, with
+a forced completion on spins (closures under the legs or their adjoints),
+stopped by the complement of an adjoint spin and cut by Norton's test.
+Decomposition and equivalence read *-invariant blocks off one seeded
+probe's eigenbasis: components of its eigenvalue clusters under the rotated
+legs' couplings, turned along a maximum spanning forest so that copies of
+one irreducible separate and two modules' turned bases give the witness.
+The ``confidence`` field reports certified versus heuristic results.
 """
 
 from __future__ import annotations
@@ -26,6 +26,9 @@ from .errors import NotFullSuspected, ShapeMismatch
 
 # Leg-invariance acceptance for emitted isometries.
 _INV_TOL = 1e-8
+
+# K: a cut of the probe eigenbasis couplings certifies only at this margin.
+_MARGIN = 1e3
 
 # A spin keeps a residual direction whose singular value exceeds this.
 _SPIN_CUT = 1e-7
@@ -56,18 +59,9 @@ def intertwiner_basis(
     return la.commutation_kernel(pairs, rtol)
 
 
-def _star_intertwiners(m: core.PModule, mt: core.PModule, rtol: float) -> list[np.ndarray]:
-    """Orthonormal basis of Hom(m, mt) = {X : X L_k = Lt_k X, X L_k* = Lt_k* X},
-    the maps intertwining the *-algebras the legs generate; End(m) = Hom(m, m)."""
-    pairs = [(mt.legs[k], m.legs[k]) for k in range(m.arity)]
-    pairs += [(la.dagger(y), la.dagger(x)) for y, x in pairs]
-    return la.commutation_kernel(pairs, rtol)
-
-
 def _invariance_defect(m: core.PModule, q: np.ndarray) -> float:
     """max_k ||(I - q q*) L_k q||_F: how far span(q) is from leg-invariant."""
-    proj_out = np.eye(m.dim, dtype=np.complex128) - q @ la.dagger(q)
-    return max(la.frobenius(proj_out @ leg @ q) for leg in m.legs)
+    return max(la.frobenius(x - q @ (la.dagger(q) @ x)) for x in (leg @ q for leg in m.legs))
 
 
 def largest_invariant_in(m: core.PModule, q: np.ndarray) -> np.ndarray:
@@ -79,42 +73,32 @@ def largest_invariant_in(m: core.PModule, q: np.ndarray) -> np.ndarray:
     """
     outside = la.complete_basis(q, m.dim)
     adjoints = [la.dagger(leg) for leg in m.legs]
-    return la.complete_basis(_spin(adjoints, outside, np.zeros((m.dim, 0)))[0], m.dim)
+    return la.complete_basis(_spin(adjoints, outside, np.zeros((m.dim, 0))), m.dim)
 
 
-def _spin(ops, start: np.ndarray, done: np.ndarray, steps=None):
+def _spin(ops, start: np.ndarray, done: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the closure of span(start) under ops, grown
-    orthogonally to span(done), and each round's coefficients V S^-1.
-
-    A round maps the frontier through all ops in one stacked matmul,
-    projects the images twice off the basis and keeps the left singular
-    vectors clearing the absolute cut _SPIN_CUT (ops are contractions, the
-    frontier orthonormal). Given ``steps``, their coefficients replace the
-    SVD: the spin is replayed from another start under other ops.
-    """
+    orthogonally to span(done): each round maps the frontier through all ops
+    in one stacked matmul, projects the images twice off the basis and keeps
+    the left singular vectors clearing the absolute cut _SPIN_CUT (ops are
+    contractions, the frontier orthonormal)."""
     d, n = start.shape[0], len(ops)
-    stacked, q, frontier, record = np.vstack(ops), np.column_stack([done, start]), start, []
-    while frontier.shape[1] and q.shape[1] < d and (steps is None or len(record) < len(steps)):
+    stacked, q, frontier = np.vstack(ops), np.column_stack([done, start]), start
+    while frontier.shape[1] and q.shape[1] < d:
         images = (stacked @ frontier).reshape(n, d, -1).transpose(1, 0, 2).reshape(d, -1)
         for _ in range(2):
             images = images - q @ (la.dagger(q) @ images)
-        if steps is not None:
-            record.append(steps[len(record)])
-            frontier = images @ record[-1]
-        elif la.frobenius(images) <= _SPIN_CUT:
+        if la.frobenius(images) <= _SPIN_CUT:
             break
-        else:
-            u, sigma, vh = la.thin_svd(images)
-            keep = sigma > _SPIN_CUT
-            record.append(la.dagger(vh[keep]) / sigma[keep])
-            frontier = u[:, keep]
+        u, sigma, _ = la.thin_svd(images)
+        frontier = u[:, sigma > _SPIN_CUT]
         q = np.column_stack([q, frontier])
-    return q[:, done.shape[1]:], record
+    return q[:, done.shape[1]:]
 
 
 def closure(m: core.PModule, vectors: np.ndarray) -> np.ndarray:
     """Smallest leg-invariant subspace containing the given vectors."""
-    return _spin(m.legs, la.gram_schmidt(vectors), np.zeros((m.dim, 0)))[0]
+    return _spin(m.legs, la.gram_schmidt(vectors), np.zeros((m.dim, 0)))
 
 
 def _restricted_module(m: core.PModule, q: np.ndarray) -> core.PModule:
@@ -146,9 +130,9 @@ def _minimal_invariant_from(m: core.PModule, seed: np.ndarray) -> np.ndarray:
         except (np.linalg.LinAlgError, la.NoConvergence):
             return cur
         empty = np.zeros((k, 0))
-        inside = _spin((a, b), la.dagger(vh[-1:]), empty)[0]
+        inside = _spin((a, b), la.dagger(vh[-1:]), empty)
         if inside.shape[1] == k:
-            outside = _spin((la.dagger(a), la.dagger(b)), u[:, -1:], empty)[0]
+            outside = _spin((la.dagger(a), la.dagger(b)), u[:, -1:], empty)
             inside = la.complete_basis(outside, k)
         if 0 < inside.shape[1] < k:
             cur, draws = cur @ inside, 0
@@ -392,7 +376,7 @@ def classify_parts(
 
 
 # ---------------------------------------------------------------------------
-# Full decomposition through the adjoint-closed commutant.
+# Full decomposition from the probe's eigenbasis.
 # ---------------------------------------------------------------------------
 
 
@@ -434,37 +418,59 @@ def _probe(m: core.PModule, rng: np.random.Generator) -> tuple[np.ndarray, np.nd
     return c, x + la.dagger(x)
 
 
-def _fresh_start(vectors: np.ndarray, done: np.ndarray) -> np.ndarray | None:
-    """The longest of the k orthonormal vectors projected off done, made a
-    unit vector; None once span(vectors) lies inside span(done) (else the
-    longest is at least 1/sqrt(k) long)."""
-    rest = vectors - done @ (la.dagger(done) @ vectors)
-    norms = np.linalg.norm(rest, axis=0)
-    j = int(np.argmax(norms))
-    return rest[:, j : j + 1] / norms[j] if norms[j] > 0.5 / np.sqrt(norms.size) else None
-
-
-def _spin_blocks(m: core.PModule, h: np.ndarray, eig: la.HermEig) -> list[tuple]:
-    """Orthogonal *-invariant blocks (run, isometry, steps, certified):
-    spins under legs and adjoints of h's eigenvectors with index in run,
-    most isolated eigenvalue cluster first, each projected off the blocks
-    so far (which reduce h). A block is certified irreducible when its
-    eigenvalue is simple for h on it (at the cluster gap): a *-invariant
-    splitting would put both parts of the eigenvector in that eigenspace.
+def _frame(m: core.PModule, eig: la.HermEig, forest: tuple | None = None) -> tuple:
+    """(frame, forest, smin): h's eigenbasis V turned along a maximum spanning
+    forest (runs, order, parent, edge, cut, margin) of its eigenvalue
+    clusters, m's own unless given. Clusters couple by the largest entry of
+    their block in any R_k = V* L_k V or R_k*. Prim's algorithm grows the
+    tree (``order``: parents first); edges below the cut, the widest log-gap
+    of its weights between the rounding floor d eps and the largest
+    coupling, are dropped (parent -1), so each tree is a component,
+    contiguous in ``order``; margin is the gap's ratio. A child cluster of
+    its parent's size is turned by the polar factor of its block in edge[j],
+    the R_k or R_k* where it is largest, making it positive (smin: its
+    smallest singular value). Across copies of one irreducible the blocks
+    become multiples of I, so copy i is column i of every cluster.
     """
-    vals = eig.values
-    ops = [*m.legs, *(la.dagger(leg) for leg in m.legs)]
-    gaps = np.concatenate([[np.inf], np.diff(vals), [np.inf]])
-    done, blocks = np.zeros((m.dim, 0), dtype=np.complex128), []
-    for a, b in sorted(la.cluster_runs(vals), key=lambda r: -min(gaps[r[0]], gaps[r[1]])):
-        while done.shape[1] < m.dim and (v := _fresh_start(eig.vectors[:, a:b], done)) is not None:
-            q, steps = _spin(ops, v, done)
-            simple = b - a == 1 or q.shape[1] == 1 or np.partition(
-                np.abs(np.linalg.eigvalsh(la.dagger(q) @ h @ q) - vals[a]), 1
-            )[1] > la.cluster_gap(vals)
-            blocks.append(((a, b), q, steps, simple))
-            done = np.column_stack([done, q])
-    return blocks
+    rot, n = _restricted_module(m, eig.vectors).legs, m.arity
+    if forest is None:
+        runs = la.cluster_runs(eig.values)
+        c, starts = len(runs), [a for a, _ in runs]
+        mags = np.maximum.reduceat(np.maximum.reduceat(np.abs(np.stack(rot)), starts, 1), starts, 2)
+        w = np.maximum(mags.max(axis=0), mags.max(axis=0).T)
+        parent, weight, order, reach = np.full(c, -1), np.zeros(c), [], w.copy()
+        best, src = np.full(c, -1.0), np.full(c, -1)
+        for _ in range(c):  # a cluster in the tree is out of reach: best and column -inf
+            j = int(best.argmax())
+            parent[j], weight[j], best[j], reach[:, j] = src[j], best[j], -np.inf, -np.inf
+            order.append(j)
+            closer = reach[j] > best
+            best[closer], src[closer] = reach[j][closer], j
+        edge = np.concatenate([mags[:, parent, range(c)], mags[:, range(c), parent]]).argmax(axis=0)
+        lo = max(m.dim, 1) * np.finfo(float).eps  # rounding floor; the largest coupling caps the cut
+        top = w.max(initial=lo)
+        pts = np.clip(np.concatenate([[lo], np.sort(weight[order[1:]]), [top]]), lo, top)
+        i = int(np.argmax(np.diff(np.log(pts))))
+        cut = float(np.sqrt(pts[i] * pts[i + 1]))
+        parent[weight < cut] = -1
+        forest = (runs, order, parent, edge, cut, float(pts[i + 1] / pts[i]))
+    runs, order, parent, edge = forest[:4]
+    sizes = np.array([b - a for a, b in runs])
+    kids = [j for j in order if parent[j] >= 0 and sizes[j] == sizes[parent[j]]]
+    eye, smin = np.eye(sizes.max(initial=0), dtype=np.complex128), np.full(len(runs), np.inf)
+    turns = [eye[:k, :k] for k in sizes]
+    for k in {sizes[j] for j in kids}:  # one batched SVD per cluster size
+        batch = [j for j in kids if sizes[j] == k]
+        ends = [(slice(*runs[parent[j]]), slice(*runs[j]), edge[j]) for j in batch]
+        blocks = [rot[e][a, b] if e < n else la.dagger(rot[e - n][b, a]) for a, b, e in ends]
+        u, sigma, vh = np.linalg.svd(np.stack(blocks))
+        smin[batch] = sigma[:, -1]
+        for j, turn in zip(batch, np.conj(u @ vh).transpose(0, 2, 1)):
+            turns[j] = turn
+    for j in kids:
+        turns[j] = turns[j] @ turns[parent[j]]
+    parts = [eig.vectors[:, a:b] @ t for (a, b), t in zip(runs, turns)]
+    return np.hstack([eig.vectors[:, :0], *parts]), forest, smin
 
 
 def decompose_full(
@@ -472,25 +478,25 @@ def decompose_full(
 ) -> DecompositionReport:
     """Orthogonal decomposition of a full module into irreducible summands.
 
-    One eigensolve of the seeded probe h (``_probe``) and spins of its
-    eigenvectors give *-invariant blocks (``_spin_blocks``). Certificate: a
-    block on which its eigenvalue is simple for h is irreducible. Fallbacks:
-    an uncertified block, or the carrier if a block fails the leg-invariance
-    gate, is split by spectral projections of seeded random Hermitian
-    elements of the adjoint-closed commutant until it is trivial
-    ("heuristic" if no draw has two distinct eigenvalues). A commutant
-    eigenspace failing that gate raises NotFullSuspected, the symptom of a
-    non-full input.
+    One block per tree of the seeded probe's ``_frame``, or r certified ones
+    when its clusters all have size r, margin >= _MARGIN, smin clears the cut
+    and no turned coupling between copies does: a copy's eigenvectors of h
+    are simple and joined by couplings, so it has no proper *-invariant (so
+    h-invariant) subspace. Fallbacks: any other tree, or the carrier if a
+    block fails the leg-invariance gate, is split by spectral projections of
+    seeded random Hermitian elements of the adjoint-closed commutant until
+    it is trivial ("heuristic" if no draw has two distinct eigenvalues). A
+    commutant eigenspace failing that gate raises NotFullSuspected, the
+    symptom of a non-full input.
     """
-    rng = np.random.default_rng(seed)
-    d = m.dim
-    certified = True
+    rng, d, certified = np.random.default_rng(seed), m.dim, True
 
     def split(q: np.ndarray) -> list[tuple[np.ndarray, core.PModule]]:
         """Irreducible blocks of span(q), each with its restricted module."""
         nonlocal certified
         sub = _restricted_module(m, q)
-        basis = _star_intertwiners(sub, sub, rtol)
+        # End(sub): the maps commuting with every restricted leg and its adjoint.
+        basis = la.commutation_kernel([(x, x) for x in (*sub.legs, *map(la.dagger, sub.legs))], rtol)
         if len(basis) <= 1:
             return [(q, sub)]
         for _ in range(3):
@@ -518,13 +524,24 @@ def decompose_full(
             out.extend(split(qc))
         return out
 
-    h = _probe(m, rng)[1]
-    spun = _spin_blocks(m, h, la.hermitian_eig(h, rtol))
-    if any(_invariance_defect(m, q) > _INV_TOL for _, q, _, _ in spun):
-        spun = [(None, np.eye(d, dtype=np.complex128), None, False)]
+    eig = la.hermitian_eig(_probe(m, rng)[1], rtol)
+    frame, (runs, order, parent, _, cut, margin), smin = _frame(m, eig)
+    roots, found = [i for i, j in enumerate(order) if parent[j] < 0] + [len(order)], []
+    for tree in (order[a:b] for a, b in zip(roots, roots[1:])):
+        r = runs[tree[0]][1] - runs[tree[0]][0]
+        cols = np.concatenate([np.arange(*runs[j]) for j in tree])
+        ok = margin >= _MARGIN and cols.size == r * len(tree) and smin[tree].min() > cut
+        if ok and r > 1:
+            mix = np.abs(np.stack(_restricted_module(m, frame[:, cols]).legs)).max(axis=0)
+            between = ~np.eye(r, dtype=bool)[None, :, None, :]
+            ok = mix.reshape(len(tree), r, len(tree), r).max(where=between, initial=0.0) < cut
+        copies = r if ok else 1
+        found += [(frame[:, cols[i::copies]], ok) for i in range(copies)]
+    if any(_invariance_defect(m, q) > _INV_TOL for q, _ in found):
+        found = [(np.eye(d, dtype=np.complex128), False)]
     blocks = []
-    for _, q, _, simple in spun:
-        blocks += [(q, _restricted_module(m, q))] if simple else split(q)
+    for q, ok in found:
+        blocks += [(q, _restricted_module(m, q))] if ok else split(q)
     blocks.sort(key=lambda block: (block[0].shape[1], _trace_key(block[1])))
     summands = []
     for q, sub in blocks:
@@ -538,13 +555,9 @@ def decompose_full(
         elif not atoms and _diffuse_certificate(sub, np.eye(k, dtype=np.complex128)):
             tag = "diffuse"
         summands.append(Summand(isometry=q, dimension=k, tag=tag, label=label))
-    return DecompositionReport(
-        summands=tuple(summands),
-        residual_dimension=0,
-        p_dimension=d,
-        confidence="certified" if certified else "heuristic",
-        seed=seed,
-    )
+    confidence = "certified" if certified else "heuristic"
+    return DecompositionReport(tuple(summands), residual_dimension=0, p_dimension=d,
+                               confidence=confidence, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -567,11 +580,14 @@ def _witness_tol(rtol: float) -> float:
     return max(1e-7, 10 * rtol)
 
 
+def _leg_defect(m: core.PModule, mt: core.PModule, u: np.ndarray) -> float:
+    """max_k ||U L_k U* - L'_k||_F."""
+    return max(la.frobenius(u @ x @ la.dagger(u) - y) for x, y in zip(m.legs, mt.legs))
+
+
 def _verify_witness(m: core.PModule, mt: core.PModule, u: np.ndarray, rtol: float) -> bool:
-    if la.frobenius(u @ la.dagger(u) - np.eye(u.shape[0])) > 1e-7:
-        return False
-    defect = max(la.frobenius(u @ x @ la.dagger(u) - y) for x, y in zip(m.legs, mt.legs))
-    return defect <= _witness_tol(rtol)
+    unitary = la.frobenius(u @ la.dagger(u) - np.eye(u.shape[0])) <= 1e-7
+    return unitary and _leg_defect(m, mt, u) <= _witness_tol(rtol)
 
 
 def equivalent(
@@ -586,10 +602,11 @@ def equivalent(
     (1 + eta), c_n = 2 (sum_k |c_k| + 2 |c'|), legs being contractions; a
     mismatch above twice that (for the 1 + eta and eigh's rounding) is
     "false", its margin in the reason.
-    True: a unitary ``_verify_witness`` accepts: the replay on mt of each
-    block W of m (``_spin_blocks``) from eigenvectors of h', U = sum W' W*,
-    else the polar factor of a seeded element of Hom(m, mt) (one solve).
+    True: ``_verify_witness`` accepts U = F' F*, F m's ``_frame`` and F' the
+    eigenbasis of h' turned along m's forest (its clusters and leg choices). If U0
+    maps m to mt, F' = U0 F D, D acting on multiplicities alone.
     None otherwise: no test finer than eta tells noise from a difference.
+    The reason gives the coupling margin, for None also the leg defect.
     """
     if m.arity != mt.arity:
         return EquivalenceResult(False, None, "arity mismatch")
@@ -604,22 +621,11 @@ def equivalent(
     if drift > bound:
         why = f"probe spectra differ by {drift:.3e}, {drift / bound:.3g} times the Weyl bound {bound:.3e}"
         return EquivalenceResult(False, None, why)
-    ops = [*mt.legs, *(la.dagger(leg) for leg in mt.legs)]
-    u, done = np.zeros((m.dim, m.dim), dtype=np.complex128), np.zeros((m.dim, 0))
-    for (a, b), q, steps, _ in _spin_blocks(m, h, eig):
-        v = _fresh_start(eig_t.vectors[:, a:b], done)
-        if v is None:
-            break
-        qt = _spin(ops, v, done, steps)[0]
-        u, done = u + qt @ la.dagger(q), np.column_stack([done, qt])
-    else:
-        if _verify_witness(m, mt, u, rtol):
-            return EquivalenceResult(True, u, "replayed spin of the probe's eigenvectors")
-    hom = _star_intertwiners(m, mt, rtol)
-    if hom:
-        rng = np.random.default_rng(seed)
-        coeffs = rng.standard_normal(len(hom)) + 1j * rng.standard_normal(len(hom))
-        u = la.polar(sum(c * x for c, x in zip(coeffs, hom))).unitary
-        if _verify_witness(m, mt, u, rtol):
-            return EquivalenceResult(True, u, "polar factor of a *-intertwiner")
-    return EquivalenceResult(None, None, f"no verified witness ({len(hom)} *-intertwiners)")
+    frame, forest, _ = _frame(m, eig)
+    u = _frame(mt, eig_t, forest)[0] @ la.dagger(frame)
+    margin = f"coupling margin {forest[-1]:.3g}"
+    if _verify_witness(m, mt, u, rtol):
+        return EquivalenceResult(True, u, f"witness from the gauged probe eigenbasis ({margin})")
+    why = (f"no verified witness: worst leg defect {_leg_defect(m, mt, u):.3e} "
+           f"against eta {_witness_tol(rtol):.3e} ({margin})")
+    return EquivalenceResult(None, None, why)

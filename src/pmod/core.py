@@ -191,10 +191,9 @@ def _kron_right(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (np.conj(a) @ (x3 @ la.dagger(b))).reshape(-1, m * n)
 
 
-def _fusion_factors(m: PModule, mt: PModule, rtol: float):
+def _fusion_factors(m: PModule, mt: PModule):
     """(V, Vt, s): eigenbases of A*A and At*At, and K^-1's gated spectrum on V x Vt."""
-    ga = la.hermitian_eig(la.gram(m.A), rtol)
-    gat = la.hermitian_eig(la.gram(mt.A), rtol)
+    ga, gat = la._eigh(la.gram(m.A)), la._eigh(la.gram(mt.A))
     alpha = np.clip(ga.values, 0.0, 1.0)
     alphat = np.clip(gat.values, 0.0, 1.0)
     k2 = np.outer(alpha, alphat).ravel() + np.outer(1.0 - alpha, 1.0 - alphat).ravel()
@@ -211,14 +210,15 @@ def boxtimes(m: PModule, mt: PModule, rtol: float = la.DEFAULT_RTOL) -> PModule:
 
     Legs are (A x At) K^-1 and (B x Bt) K^-1 with
     K = sqrt(|A|^2 x |At|^2 + |B|^2 x |Bt|^2); KernelOverlap when K fails the
-    relative invertibility gate (the kernel-overlap condition). K^-1 is
-    diagonal on V x Vt, V and Vt the eigenbases of A*A and At*At, so each leg
-    is evaluated one factor at a time as (X V x Xt Vt) diag(s) (V x Vt)*:
-    no carrier-sized K^-1 or basis, and O(D^2 (d + dt)) work for D = d dt.
+    relative invertibility gate _K_GATE (the kernel-overlap condition; rtol
+    gates nothing). K^-1 is diagonal on V x Vt, V and Vt the eigenbases of
+    A*A and At*At, so each leg is evaluated one factor at a time as
+    (X V x Xt Vt) diag(s) (V x Vt)*: no carrier-sized K^-1 or basis, and
+    O(D^2 (d + dt)) work for D = d dt.
     """
     _require_arity2(m, "boxtimes")
     _require_arity2(mt, "boxtimes")
-    v, vt, s = _fusion_factors(m, mt, rtol)
+    v, vt, s = _fusion_factors(m, mt)
     # V, Vt unitary: no entry or partial sum exceeds ||X|| ||Xt|| max(s), and ||X|| <= d max|X_ij|.
     _check_range("boxtimes", m, mt, m.dim * mt.dim * float(s.max()))
     return PModule._trusted(
@@ -278,7 +278,7 @@ def duality_check(m: PModule, rtol: float = la.DEFAULT_RTOL) -> DualityReport:
     _require_arity2(m, "duality_check")
     d = m.dim
     md = dual_module(m, rtol)
-    vd, v, s = _fusion_factors(md, m, rtol)  # dual (x) m; m (x) dual is its flip
+    vd, v, s = _fusion_factors(md, m)  # dual (x) m; m (x) dual is its flip
     ev = np.zeros((1, d * d), dtype=np.complex128)
     ev[0, np.arange(d) * (d + 1)] = 1.0
     # ev (P x Q) = vec(P^T Q); K^-1 of m (x) dual has the flipped spectrum.
@@ -295,10 +295,9 @@ def duality_check(m: PModule, rtol: float = la.DEFAULT_RTOL) -> DualityReport:
     # L o coev - lam coev is the adjoint of ev o L* - conj(lam) ev.
     coev_residual = max(float(np.linalg.norm(row - np.conj(lam) * ev)) for row in right)
     coev_residual /= math.sqrt(d)
-    eye = np.eye(d, dtype=np.complex128)
-    zig1 = _kron_right(la.kron(eye, ev), ev, eye)  # (1 x ev)(coev x 1)
-    zig2 = _kron_right(la.kron(ev, eye), eye, ev)  # (ev x 1)(1 x coev)
-    zigzag = max(la.frobenius(zig1 - eye), la.frobenius(zig2 - eye))
+    # E = ev as a d x d matrix: (1 x ev)(coev x 1) = conj(E) E, (ev x 1)(1 x coev) its adjoint.
+    zig, eye = np.conj(ev.reshape(d, d)) @ ev.reshape(d, d), np.eye(d, dtype=np.complex128)
+    zigzag = max(la.frobenius(zig - eye), la.frobenius(la.dagger(zig) - eye))
     # ev o flip o coev, the flip e_i (x) e_j -> e_j (x) e_i as an index permutation.
     qdim = complex(ev[0] @ ev[0].conj().reshape(d, d).T.ravel())
     return DualityReport(

@@ -9,6 +9,12 @@ Gram-Schmidt bases, one SVD-based kernel routine behind every other
 nullspace, and a certified reduced *-commutant solve that reads its kernel
 from its own SVD. LAPACK failure is NoConvergence.
 
+Gates: hermitian_eig, polar, kernel_basis, singular_extremes, unitary_eig and
+eig_general refuse non-finite operands (as_matrix: ShapeMismatch); hermitian_eig
+also refuses non-square and non-Hermitian ones. polar, core's fusion factors
+and structure's probe skip that for its solver ``_eigh`` (finite entries only):
+gram(m) and x + x* are exactly Hermitian, so the gate could not fire.
+
 All rank and kernel decisions are relative to the largest singular value of
 the operand; ``DEFAULT_RTOL`` is the package-wide default gate.
 """
@@ -80,8 +86,9 @@ def gram(m: np.ndarray) -> np.ndarray:
 
 
 def kron(m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Kronecker product, row-major convention: (i, j) -> i*cols(n) + j."""
-    return np.kron(m, n)
+    """Kronecker product by one broadcast multiply (np.kron's): (i, j) -> i*cols(n) + j."""
+    (p, q), (r, s) = m.shape, n.shape
+    return (m[:, None, :, None] * n[None, :, None, :]).reshape(p * r, q * s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,21 +124,26 @@ def hermitian_eig(m: np.ndarray, rtol: float = DEFAULT_RTOL) -> HermEig:
     of that coordinate and then by the coordinates rounded to 10 digits.
     """
     m = as_matrix(m)
-    n = _check_square(m)
+    _check_square(m)
     scale = frobenius(m)
     if frobenius(m - dagger(m)) > rtol * max(scale, 1e-300):
         raise NotHermitian(
             f"matrix is not Hermitian within rtol={rtol:g} "
             f"(defect {frobenius(m - dagger(m)):.3e})"
         )
-    values, vectors = _lapack(np.linalg.eigh, (m + dagger(m)) / 2.0)
+    return _eigh((m + dagger(m)) / 2.0)
+
+
+def _eigh(h: np.ndarray) -> HermEig:
+    """hermitian_eig past its gate (see the module notes): refuses only non-finite entries."""
+    values, vectors = _lapack(np.linalg.eigh, as_matrix(h))
     lead = _fix_phases(vectors)
     if np.all(np.diff(values) > 0.0):
         # No ties: the primary key alone fixes the order, which eigh gave.
         return HermEig(values=values, vectors=np.ascontiguousarray(vectors))
     # np.lexsort takes its last key as primary: value, then leading index,
     # then each coordinate's rounded re and im in turn.
-    coords = np.round(np.stack([vectors.real, vectors.imag], axis=1).reshape(2 * n, n), 10)
+    coords = np.round(np.stack([vectors.real, vectors.imag], axis=1).reshape(-1, values.size), 10)
     order = np.lexsort(np.vstack([coords[::-1], lead, values]))
     return HermEig(values=values[order], vectors=np.ascontiguousarray(vectors[:, order]))
 
@@ -295,7 +307,7 @@ def polar(m: np.ndarray, rtol: float = DEFAULT_RTOL) -> PolarPair:
     """
     m = as_matrix(m)
     n = _check_square(m)
-    eig = hermitian_eig(gram(m), rtol)
+    eig = _eigh(gram(m))
     sigma, vectors = np.sqrt(np.clip(eig.values, 0.0, None)), eig.vectors
     smax = float(sigma[-1]) if n else 0.0
     keep, left = sigma > max(rtol, _GRAM_FLOOR) * smax, None
@@ -376,7 +388,7 @@ def _fold_kernel(pairs, rtol: float, scale: float) -> list[np.ndarray]:
     eye_q = np.eye(q, dtype=np.complex128)
     r = None
     for mk, nk in pairs:
-        block = np.kron(eye_p, nk.T) - np.kron(mk, eye_q)
+        block = kron(eye_p, nk.T) - kron(mk, eye_q)
         r = block if r is None else np.linalg.qr(np.vstack([r, block]), mode="r")
     null = kernel_basis(r, rtol, scale=scale)
     return [null[:, j].reshape(p, q) for j in range(null.shape[1])]

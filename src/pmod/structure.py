@@ -524,7 +524,7 @@ def decompose_full(
             out.extend(split(qc))
         return out
 
-    eig = la.hermitian_eig(_probe(m, rng)[1], rtol)
+    eig = la._eigh(_probe(m, rng)[1])
     frame, (runs, order, parent, _, cut, margin), smin = _frame(m, eig)
     roots, found = [i for i, j in enumerate(order) if parent[j] < 0] + [len(order)], []
     for tree in (order[a:b] for a, b in zip(roots, roots[1:])):
@@ -613,8 +613,7 @@ def equivalent(
     if m.dim != mt.dim:
         return EquivalenceResult(False, None, "dimension mismatch")
     c, h = _probe(m, np.random.default_rng(seed))
-    eig = la.hermitian_eig(h, rtol)
-    eig_t = la.hermitian_eig(_probe(mt, np.random.default_rng(seed))[1], rtol)
+    eig, eig_t = la._eigh(h), la._eigh(_probe(mt, np.random.default_rng(seed))[1])
     c_n = 2.0 * (np.abs(c[:-1]).sum() + 2.0 * abs(c[-1]))
     bound = 2.0 * c_n * _witness_tol(rtol)
     drift = float(np.max(np.abs(eig.values - eig_t.values), initial=0.0))

@@ -1,6 +1,7 @@
 """Module algebra tests: validation, star, fusion, duals, scalars, words."""
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -446,6 +447,16 @@ def test_products_refuse_legs_that_overflow():
                 op(m, m)
 
 
+def test_legs_whose_gram_matrix_overflows_are_refused():
+    # The Gram matrices go to hermitian_eig's solver, past its Hermiticity
+    # gate, which still refuses their non-finite entries.
+    m = core.PModule(legs=(1e200 * np.eye(2), 0.5 * np.eye(2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for op in (core.dual_module, lambda m: core.boxtimes(m, m)):
+            with pytest.raises(ShapeMismatch, match="finite"):
+                op(m)
+
+
 def test_dual_double_dual_entrywise():
     m = families.random_module(2, "N", seed=77)
     dd = core.dual_module(core.dual_module(m))
@@ -469,6 +480,21 @@ def test_duality_check_report():
         assert rep.coev_residual <= 1e-9
         dd = core.dual_module(core.dual_module(m))
         assert structure.equivalent(dd, m).verdict is True
+
+
+def test_duality_check_at_d48_stays_quadratic_in_memory():
+    # The zig-zags come from ev as a d x d matrix: a d x d^3 Kronecker
+    # factor would take about 85 MB at d = 48.
+    m = families.random_module(48, "N", seed=48)
+    tracemalloc.start()
+    try:
+        rep = core.duality_check(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.zigzag_residual == 0.0
+    assert rep.quantum_dim == 48.0
+    assert peak < 16 * 2**20
 
 
 def test_duality_zigzag_unit_is_zero():

@@ -69,6 +69,27 @@ def test_eig_rejects_non_hermitian():
         la.hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+def test_gates_hold_where_internal_callers_skip_them():
+    # polar, the fusion factors and the probe pass exactly Hermitian operands
+    # to hermitian_eig's solver; the public routine keeps its gates, and a
+    # Gram matrix that overflows is still refused.
+    with pytest.raises(NotHermitian):
+        la.hermitian_eig(np.array([[1, 2], [0, 1]], dtype=complex))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for bad in (np.array([[1, 0], [0, np.nan]]), np.array([[np.inf, 0], [0, 1]])):
+            with pytest.raises(ShapeMismatch, match="finite"):
+                la.hermitian_eig(bad)
+        with pytest.raises(ShapeMismatch, match="finite"):
+            la.polar(1e200 * np.eye(2))
+
+
+def test_eig_refuses_an_operand_whose_symmetrization_overflows():
+    # Finite entries whose (m + m*) / 2 overflows gave a NaN spectrum.
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ShapeMismatch, match="finite"):
+            la.hermitian_eig(1.5e308 * np.eye(2))
+
+
 def test_funcalc_examples():
     assert np.allclose(la.psd_funcalc(np.eye(3, dtype=complex), "sqrt"), np.eye(3))
     assert np.allclose(
@@ -166,6 +187,20 @@ def test_kron_convention_and_mixed_product():
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(np.linalg.norm(lhs), 1.0)
 
 
+def test_kron_is_numpy_kron_bit_for_bit():
+    rng = np.random.default_rng(9)
+
+    def c(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    for a, b in [(c(2, 3), c(4, 5)), (c(1, 4), c(3, 1)), (c(3, 1), c(1, 4)), (c(1, 1), c(2, 3)),
+                 (c(0, 3), c(2, 2)), (c(2, 2), c(2, 0)), (c(0, 0), c(0, 0)), (np.eye(3), c(2, 3)),
+                 (np.array([[np.inf, -0.0], [np.nan, 1e-310]]), c(2, 2))]:
+        got, want = la.kron(a, b), np.kron(a, b)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_kron_associative():
     rng = np.random.default_rng(8)
     mats = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3)]
@@ -213,6 +248,8 @@ def test_lapack_failure_maps_to_no_convergence(monkeypatch):
     m = np.eye(2, dtype=complex)
     with pytest.raises(NoConvergence):
         la.hermitian_eig(m)
+    with pytest.raises(NoConvergence):
+        la.polar(m)
     with pytest.raises(NoConvergence):
         la.eig_general(m)
 

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain errors (KernelOverlap, NotInvertible, a
-failing validate, ...), 2 usage and parse errors (malformed files, bad
-shapes, Pythagorean violations in inputs). Reports go to stdout, diagnostics
+failing validate, a solve refused by its size cap (TooLarge), ...) and
+memory exhaustion, 2 usage and parse errors (malformed files, bad shapes,
+Pythagorean violations in inputs). Reports go to stdout, diagnostics
 to stderr; identical argv (seeds included) produce byte-identical output.
 Stdout closed early by its reader (``pmod ... | head``) is exit 1, no traceback.
 """
@@ -32,7 +33,7 @@ def _read(path: str) -> str:
 
 def _load_module(path: str, tol: float) -> core.PModule:
     # Files are accepted at the parse gate even when --tol is stricter, so
-    # 8-digit inputs keep working; operations still run at --tol.
+    # inputs rounded to 10 digits keep working; operations still run at --tol.
     module, _ = fileio.parse_module_file(_read(path), max(tol, fileio.PARSE_TOL))
     return module
 
@@ -197,9 +198,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         report = args.handler(args)
-    except (ParseError, PModError, ValueError) as exc:
+    except (ParseError, PModError, ValueError, MemoryError) as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, PModError) else 2
+        return 1 if isinstance(exc, (PModError, MemoryError)) else 2
     if isinstance(report, tuple):  # (module, metadata)
         text = fileio.render_module(*report, args.format)
     else:

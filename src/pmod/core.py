@@ -108,6 +108,17 @@ def _require_arity2(m: PModule, op: str) -> None:
         raise ArityUnsupported(f"{op} is defined for two-leg modules, got arity {m.arity}")
 
 
+def _invertible_polars(m: PModule, op: str, rtol: float) -> tuple[la.PolarPair, la.PolarPair]:
+    """polar of both legs of a two-leg module; NotInvertible unless each
+    leg's singular values, as polar returns them, pass la._invertible."""
+    _require_arity2(m, op)
+    pa, pb = la.polar(m.A, rtol), la.polar(m.B, rtol)
+    for name, s in (("A", pa.singular_values), ("B", pb.singular_values)):
+        if not la._invertible(s[0], s[-1], m.dim, rtol):
+            raise NotInvertible(f"{op}: leg {name} is numerically singular")
+    return pa, pb
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     passed: bool
@@ -247,11 +258,7 @@ def dual_module(m: PModule, rtol: float = la.DEFAULT_RTOL) -> PModule:
     polar gives |A| and |B|, and its singular values gate invertibility
     (NotInvertible otherwise), which makes the polar factors unique.
     """
-    _require_arity2(m, "dual_module")
-    pa, pb = la.polar(m.A, rtol), la.polar(m.B, rtol)
-    for name, s in (("A", pa.singular_values), ("B", pb.singular_values)):
-        if not la._invertible(s[0], s[-1], m.dim, rtol):
-            raise NotInvertible(f"leg {name} is numerically singular")
+    pa, pb = _invertible_polars(m, "dual_module", rtol)
     return PModule._trusted((np.conj(pa.unitary @ pb.positive), np.conj(pb.unitary @ pa.positive)))
 
 

@@ -14,7 +14,7 @@ class NotHermitian(PModError):
 
 
 class NoConvergence(PModError):
-    """Iterative solver exhausted its sweep budget."""
+    """A LAPACK routine (numpy.linalg) reported that it did not converge."""
 
 
 class NotPositive(PModError):
@@ -63,6 +63,10 @@ class NotD2Shape(PModError):
 
 class NotFullSuspected(PModError):
     """A commutant split produced a subspace whose complement is not leg-invariant."""
+
+
+class TooLarge(PModError):
+    """A solve's working set, estimated before allocating, exceeds its cap."""
 
 
 class ParseError(Exception):

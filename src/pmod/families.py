@@ -204,10 +204,7 @@ def atomic_diffuse_fuse(
     polar unitaries of the legs and x_k follows the word digits. One label
     per eigenvalue, with multiplicity, sorted by phase angle.
     """
-    pa, pb = la.polar(m_d.A, rtol), la.polar(m_d.B, rtol)
-    for s in (pa.singular_values, pb.singular_values):
-        if not la._invertible(s[0], s[-1], m_d.dim, rtol):
-            raise NotInvertible("atomic_diffuse_fuse needs invertible legs")
+    pa, pb = core._invertible_polars(m_d, "atomic_diffuse_fuse", rtol)
     va, vb = pa.unitary, pb.unitary
     v = np.eye(m_d.dim, dtype=np.complex128)
     for digit in label.word:

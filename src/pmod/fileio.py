@@ -97,8 +97,11 @@ def _parse_entry(value, where: str) -> complex:
     return complex(*value)
 
 
-# Acceptance gate for files: 12-significant-digit serialization plus files
-# written with ~8 digits (the documented minimum) must both round-trip.
+# Acceptance gate for files. pmod's 12-significant-digit files pass at every
+# size. A file rounded to fewer digits passes while its rounding residual
+# does; for dense legs that residual grows with the carrier and levels off
+# near 1.6 * 10^(1 - digits): 10 digits pass up to carrier 256 at least,
+# 9 digits up to about carrier 28, and 8 digits fail from carrier 4 on.
 PARSE_TOL = 1e-8
 
 
@@ -146,7 +149,7 @@ def parse_module_file(text: str, tol: float = PARSE_TOL) -> tuple[core.PModule, 
                 _parse_entry(entry, f"legs[{k}][{i}][{j}]")
         parsed.append(np.array(leg, dtype=float).view(np.complex128)[..., 0])
     metadata = obj.get("metadata", {})
-    if metadata and not isinstance(metadata, dict):
+    if not isinstance(metadata, dict):
         raise ShapeError("metadata: expected an object")
     try:
         module = core.PModule(legs=tuple(parsed))
@@ -279,11 +282,7 @@ def _text_lines(payload: dict, indent: str = "") -> list[str]:
     return lines
 
 
-def render_report(report, fmt: str = "text") -> str:
-    """Render any report deterministically as stable JSON or readable text."""
-    if isinstance(report, core.PModule):  # a module renders as its module file
-        return render_module(report, fmt=fmt)
-    payload = report_payload(report)
+def _render(payload: dict, fmt: str) -> str:
     if fmt == "json":
         return _dumps(payload)
     if fmt == "text":
@@ -291,10 +290,12 @@ def render_report(report, fmt: str = "text") -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def render_report(report, fmt: str = "text") -> str:
+    """Render any report deterministically as stable JSON or readable text;
+    a module renders as its module file."""
+    return _render(report_payload(report), fmt)
+
+
 def render_module(m: core.PModule, metadata: dict | None = None, fmt: str = "text") -> str:
     """Render a module (with optional metadata) in either report format."""
-    if fmt == "json":
-        return serialize_module(m, metadata)
-    if fmt == "text":
-        return "\n".join(_text_lines(_module_payload(m, metadata)))
-    raise ValueError(f"unknown format {fmt!r}")
+    return _render(_module_payload(m, metadata), fmt)

@@ -7,7 +7,9 @@ gates, deterministic phase and ordering of eigenvectors, positive functional
 calculus, polar decomposition with a deterministic kernel completion,
 Gram-Schmidt bases, one SVD-based kernel routine behind every other
 nullspace, and a certified reduced *-commutant solve that reads its kernel
-from its own SVD. LAPACK failure is NoConvergence.
+from its own SVD. LAPACK failure is NoConvergence; a commutant solve whose
+working set would exceed _SOLVE_CAP (1 GiB) is refused as TooLarge before
+anything that size is allocated.
 
 Gates: hermitian_eig, polar, kernel_basis, singular_extremes, unitary_eig and
 eig_general refuse non-finite operands (as_matrix: ShapeMismatch); hermitian_eig
@@ -31,6 +33,7 @@ from .errors import (
     NotPositive,
     ShapeMismatch,
     SingularOperand,
+    TooLarge,
 )
 
 DEFAULT_RTOL = 1e-9
@@ -45,6 +48,12 @@ _GS_KEEP = 1e-6
 # values, from a full SVD (is_invertible) or polar's own (dual_module,
 # atomic_diffuse_fuse): an invertible leg is full rank to polar.
 _GRAM_FLOOR = 5e-8
+
+# Largest working set, in bytes, a commutant solve may allocate: the fold's
+# stacked QR input [R; block], 2 (pq)^2 complex entries, or the reduced
+# route's block, p q u entries. Plain intertwiners of a carrier-64 module
+# (0.54 GB) fit; above the cap the solve raises TooLarge before allocating.
+_SOLVE_CAP = 2**30
 
 # polar's switch from the eigensolve of m* m to an SVD of m: below this ratio
 # of smallest kept to largest singular value, eps * (smax / smin)^2 would show
@@ -362,6 +371,9 @@ def commutation_kernel(
     further block is folded in as the triangular factor of a QR of
     [R; block], so R stays square with the stack's kernel and singular
     values, and the kernel is read off R by kernel_basis.
+
+    Either route raises TooLarge before allocating when its working set (the
+    fold's stacked QR input, the reduced route's block) exceeds _SOLVE_CAP.
     """
     if not pairs:
         raise ValueError("need at least one pair")
@@ -380,10 +392,18 @@ def commutation_kernel(
     return _fold_kernel(pairs, rtol, scale) if basis is None else basis
 
 
+def _within_cap(entries: int, route: str) -> None:
+    """TooLarge when `entries` complex128 values exceed _SOLVE_CAP."""
+    if 16 * entries > _SOLVE_CAP:
+        raise TooLarge(f"{route} would need {16 * entries / 2**30:.3g} GiB, "
+                       f"above the {_SOLVE_CAP / 2**30:g} GiB cap")
+
+
 def _fold_kernel(pairs, rtol: float, scale: float) -> list[np.ndarray]:
     """commutation_kernel on all p*q unknowns."""
     p = pairs[0][0].shape[0]
     q = pairs[0][1].shape[0]
+    _within_cap(2 * (p * q) ** 2, "the commutation fold")
     eye_p = np.eye(p, dtype=np.complex128)
     eye_q = np.eye(q, dtype=np.complex128)
     r = None
@@ -418,6 +438,7 @@ def _reduced_kernel(pairs, tau: float) -> list[np.ndarray] | None:
     t = np.sqrt(sum((frobenius(mk) + frobenius(nk)) ** 2 for mk, nk in pairs))
     f = (1.0 + t * c_norm / g_x) / np.sqrt(1.0 - delta**2)
     p, q = gaps.shape
+    _within_cap(p * q * rows.size, "the reduced commutation solve")
     u = np.arange(rows.size)
     r = None
     for mk, nk in pairs:

@@ -73,17 +73,16 @@ def largest_invariant_in(m: core.PModule, q: np.ndarray) -> np.ndarray:
     """
     outside = la.complete_basis(q, m.dim)
     adjoints = [la.dagger(leg) for leg in m.legs]
-    return la.complete_basis(_spin(adjoints, outside, np.zeros((m.dim, 0))), m.dim)
+    return la.complete_basis(_spin(adjoints, outside), m.dim)
 
 
-def _spin(ops, start: np.ndarray, done: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the closure of span(start) under ops, grown
-    orthogonally to span(done): each round maps the frontier through all ops
-    in one stacked matmul, projects the images twice off the basis and keeps
-    the left singular vectors clearing the absolute cut _SPIN_CUT (ops are
-    contractions, the frontier orthonormal)."""
+def _spin(ops, start: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the closure of span(start) under ops: each round
+    maps the frontier through all ops in one stacked matmul, projects the
+    images twice off the basis and keeps the left singular vectors clearing
+    the absolute cut _SPIN_CUT (ops are contractions, start orthonormal)."""
     d, n = start.shape[0], len(ops)
-    stacked, q, frontier = np.vstack(ops), np.column_stack([done, start]), start
+    stacked, q, frontier = np.vstack(ops), start, start
     while frontier.shape[1] and q.shape[1] < d:
         images = (stacked @ frontier).reshape(n, d, -1).transpose(1, 0, 2).reshape(d, -1)
         for _ in range(2):
@@ -93,12 +92,12 @@ def _spin(ops, start: np.ndarray, done: np.ndarray) -> np.ndarray:
         u, sigma, _ = la.thin_svd(images)
         frontier = u[:, sigma > _SPIN_CUT]
         q = np.column_stack([q, frontier])
-    return q[:, done.shape[1]:]
+    return q
 
 
 def closure(m: core.PModule, vectors: np.ndarray) -> np.ndarray:
     """Smallest leg-invariant subspace containing the given vectors."""
-    return _spin(m.legs, la.gram_schmidt(vectors), np.zeros((m.dim, 0)))
+    return _spin(m.legs, la.gram_schmidt(vectors))
 
 
 def _restricted_module(m: core.PModule, q: np.ndarray) -> core.PModule:
@@ -129,10 +128,9 @@ def _minimal_invariant_from(m: core.PModule, seed: np.ndarray) -> np.ndarray:
             u, sigma, vh = la.thin_svd(theta - lam * np.eye(k))
         except (np.linalg.LinAlgError, la.NoConvergence):
             return cur
-        empty = np.zeros((k, 0))
-        inside = _spin((a, b), la.dagger(vh[-1:]), empty)
+        inside = _spin((a, b), la.dagger(vh[-1:]))
         if inside.shape[1] == k:
-            outside = _spin((la.dagger(a), la.dagger(b)), u[:, -1:], empty)
+            outside = _spin((la.dagger(a), la.dagger(b)), u[:, -1:])
             inside = la.complete_basis(outside, k)
         if 0 < inside.shape[1] < k:
             cur, draws = cur @ inside, 0
@@ -176,8 +174,7 @@ def atomic_part(
     the walk stops at length min(max_len, d): a larger max_len changes
     nothing.
     """
-    if m.arity != 2:
-        raise core.ArityUnsupported("atomic_part is defined for two-leg modules")
+    core._require_arity2(m, "atomic_part")
     d = m.dim
     depth = d if max_len is None else min(max_len, d)
     claimed = np.zeros((d, 0), dtype=np.complex128)
@@ -263,8 +260,7 @@ def _complete_and_atoms(
 ) -> tuple[CompletePart, list[AtomicSummand] | None]:
     """complete_submodule's search, plus the atomic part it computed on the
     way (None when the class shortcut returned before computing it)."""
-    if m.arity != 2:
-        raise core.ArityUnsupported("complete_submodule is defined for two-leg modules")
+    core._require_arity2(m, "complete_submodule")
     d = m.dim
     if use_class_shortcut and core.in_class_m(m, rtol):
         return CompletePart(np.eye(d, dtype=np.complex128), d, "certified"), None
@@ -299,21 +295,18 @@ def _complete_and_atoms(
     return CompletePart(isometry=v, p_dimension=v.shape[1], confidence=confidence), atoms
 
 
-def _diffuse_certificate(m: core.PModule, q: np.ndarray) -> bool:
-    """Certify that every word operator decays to zero on span(q).
+def _diffuse_certificate(m: core.PModule) -> bool:
+    """Certify that every word operator of m decays to zero.
 
-    Walks the word tree pruning branches whose restricted operator norm fell
-    to the unit threshold (its first level tests the restricted legs
-    themselves). True only when all branches die within budget.
+    Walks the word tree pruning branches whose operator norm fell to the
+    unit threshold (its first level tests the legs themselves). True only
+    when all branches die within budget.
     """
-    if q.shape[1] == 0:
-        return True
-    legs_r = _restricted_module(m, q).legs
-    level = [np.eye(q.shape[1], dtype=np.complex128)]
+    level = [np.eye(m.dim, dtype=np.complex128)]
     for _ in range(_DECAY_DEPTH):
         nxt = []
         for w in level:
-            for leg in legs_r:
+            for leg in m.legs:
                 cand = leg @ w
                 if la.spectral_norm(cand) > _DECAY_PRUNE:
                     nxt.append(cand)
@@ -361,7 +354,8 @@ def classify_parts(
 
     confidence = comp.confidence
     if diffuse_dim and (
-        _invariance_defect(m, diffuse) > _INV_TOL or not _diffuse_certificate(m, diffuse)
+        _invariance_defect(m, diffuse) > _INV_TOL
+        or not _diffuse_certificate(_restricted_module(m, diffuse))
     ):
         confidence = "heuristic"
     return ClassifyReport(
@@ -483,11 +477,13 @@ def decompose_full(
     and no turned coupling between copies does: a copy's eigenvectors of h
     are simple and joined by couplings, so it has no proper *-invariant (so
     h-invariant) subspace. Fallbacks: any other tree, or the carrier if a
-    block fails the leg-invariance gate, is split by spectral projections of
-    seeded random Hermitian elements of the adjoint-closed commutant until
-    it is trivial ("heuristic" if no draw has two distinct eigenvalues). A
+    block fails the leg-invariance gate, is split by the eigenspaces of one
+    seeded random Hermitian element of its adjoint-closed commutant, each
+    split again until its commutant is trivial; a block whose element has
+    one eigenvalue cluster stays whole and makes the report "heuristic". A
     commutant eigenspace failing that gate raises NotFullSuspected, the
-    symptom of a non-full input.
+    symptom of a non-full input; a commutant solve above linalg's size cap
+    raises TooLarge.
     """
     rng, d, certified = np.random.default_rng(seed), m.dim, True
 
@@ -499,17 +495,11 @@ def decompose_full(
         basis = la.commutation_kernel([(x, x) for x in (*sub.legs, *map(la.dagger, sub.legs))], rtol)
         if len(basis) <= 1:
             return [(q, sub)]
-        for _ in range(3):
-            coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-            y = sum(c * x for c, x in zip(coeffs, basis))
-            cand = (y + la.dagger(y)) / 2.0
-            if la.frobenius(cand) < 1e-12:
-                cand = (y - la.dagger(y)) / 2.0j
-            eig = la.hermitian_eig(cand, rtol)
-            runs = la.cluster_runs(eig.values)
-            if len(runs) > 1:
-                break
-        else:
+        coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+        y = sum(c * x for c, x in zip(coeffs, basis))
+        eig = la.hermitian_eig((y + la.dagger(y)) / 2.0, rtol)
+        runs = la.cluster_runs(eig.values)
+        if len(runs) == 1:
             certified = False
             return [(q, sub)]
         out = []
@@ -552,7 +542,7 @@ def decompose_full(
             tag = "atomic"
             if len(atoms) == 1:
                 label = atoms[0].label
-        elif not atoms and _diffuse_certificate(sub, np.eye(k, dtype=np.complex128)):
+        elif not atoms and _diffuse_certificate(sub):
             tag = "diffuse"
         summands.append(Summand(isometry=q, dimension=k, tag=tag, label=label))
     confidence = "certified" if certified else "heuristic"

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmod import cli, core, families, fileio, structure
-from pmod.errors import ParseError, PythagoreanViolation, ShapeError
+from pmod.errors import ParseError, PythagoreanViolation, ShapeError, TooLarge
 
 from conftest import d2_display_pair, atomic_emergence_pair, leg_defect
 
@@ -557,6 +557,20 @@ def test_cli_dual_not_invertible_exit_1(files, capsys):
         code, _, err = run_cli(capsys, "dual", *argv)
         assert code == 1
         assert "NotInvertible" in err
+
+
+def test_cli_refused_or_exhausted_solve_exits_1(files, capsys, monkeypatch):
+    # A solve refused by its size cap, and numpy running out of memory where
+    # no cap applies, are each exit 1 with one ERROR line.
+    _, write = files
+    path = write("a.json", families.random_module(2, "N", seed=1))
+    for exc in (TooLarge("the commutation fold would need 2 GiB"), MemoryError("out of memory")):
+        def refuse(*args, exc=exc):
+            raise exc
+        monkeypatch.setattr(core, "boxtimes", refuse)
+        code, out, err = run_cli(capsys, "fuse", path, path)
+        assert (code, out) == (1, "")
+        assert err == f"ERROR {type(exc).__name__}: {exc}\n"
 
 
 def test_cli_closed_stdout_exits_1_without_traceback(files):

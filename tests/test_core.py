@@ -668,6 +668,12 @@ def _module_text(**changes) -> str:
     return json.dumps({**payload, **changes})
 
 
+def _metadata_refused(value) -> bool:
+    with pytest.raises(ShapeError, match="metadata: expected an object"):
+        fileio.parse_module_file(_module_text(metadata=value))
+    return True
+
+
 _R = 1.0 / np.sqrt(2.0)
 _QUAD = core.kawamura_tensor(core.unit_module(), core.unit_module())
 _ERROR_CASES = {
@@ -701,6 +707,13 @@ _ERROR_CASES = {
         lambda: core.scalar_coords_of(core.ScalarModule(1, 0)), OnUnitAxis
     ),
     "in_class_m-arity4": (lambda: core.in_class_m(_QUAD), lambda r: r is False),
+    "atomic_diffuse_fuse-arity4": (
+        lambda: families.atomic_diffuse_fuse(
+            families.AtomicLabel("01"),
+            core.kawamura_tensor(families.random_module(2, seed=1), core.unit_module()),
+        ),
+        ArityUnsupported,
+    ),
     "gp_vector-empty": (lambda: families.GPVector(entries=()), ValueError),
     "gp_vector-off-sphere": (lambda: families.GPVector(entries=((1.0, 1.0),)), ValueError),
     "random_module-all-zero": (
@@ -720,7 +733,7 @@ _ERROR_CASES = {
         ShapeError,
     ),
     "module_file-metadata-list": (
-        lambda: fileio.parse_module_file(_module_text(metadata=[1])), ShapeError
+        lambda: [_metadata_refused(v) for v in ([1], "x", None, 0, [], "", False)], all
     ),
     "gp_vector-overflow": (
         lambda: fileio.parse_gp_vector("[[[1e308, 0], [1e308, 0]]]"),

@@ -1,5 +1,7 @@
 """Matrix engine tests: eigensolver, functional calculus, polar, kernels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from pmod.errors import (
     NotPositive,
     ShapeMismatch,
     SingularOperand,
+    TooLarge,
 )
 
 from conftest import random_unitary, shared_eigenline_module
@@ -501,6 +504,27 @@ def test_reduced_commutation_kernel_needs_no_fold_on_clean_input(monkeypatch):
     assert len(basis) == 1
     x = basis[0]
     assert max(np.linalg.norm(x @ a - b @ x) for a, b in zip(prod.legs, pc.legs)) <= 1e-9
+
+
+def test_commutant_solves_above_the_cap_are_refused_before_allocating(monkeypatch):
+    # Carrier 96: the fold's stacked QR input would be 2 (96^2)^2 complex
+    # entries (2.5 GiB); the refusal comes before any of it is allocated.
+    m = families.random_module(96, seed=1)
+    pairs = _star_pairs(m, m)
+    with monkeypatch.context() as mp:
+        mp.setattr(la, "_reduced_kernel", lambda *a: None)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match="commutation fold"):
+                la.commutation_kernel(pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2**20
+    # The reduced route checks its own block against the cap.
+    monkeypatch.setattr(la, "_SOLVE_CAP", 2**10)
+    with pytest.raises(TooLarge, match="reduced commutation solve"):
+        la.commutation_kernel(pairs)
 
 
 def _full_hermitian_eig(m):

@@ -1,12 +1,14 @@
 """Structural analysis tests: intertwiners, parts, decomposition, equivalence."""
 
 import functools
+import json
 
 import numpy as np
+import pytest
 
-from pmod import core, families, structure
+from pmod import core, families, fileio, structure
 from pmod import linalg as la
-from pmod.errors import NotFullSuspected
+from pmod.errors import NotFullSuspected, TooLarge
 
 from conftest import (
     atomic_emergence_pair,
@@ -48,6 +50,13 @@ def test_intertwiner_unit_into_shared_eigenline():
     direction = x[:, 0] / np.linalg.norm(x[:, 0])
     target = np.array([1, 1]) / np.sqrt(2)
     assert abs(abs(np.vdot(direction, target)) - 1.0) < 1e-10
+
+
+def test_intertwiner_solve_above_the_cap_is_refused_at_once():
+    # Carrier 256: the fold's stacked QR input would be 128 GiB.
+    prod = core.boxtimes(families.random_module(16, seed=1), families.random_module(16, seed=2))
+    with pytest.raises(TooLarge, match="above the 1 GiB cap"):
+        structure.intertwiner_basis(prod, prod)
 
 
 def test_emitted_isometries_are_leg_invariant():
@@ -469,6 +478,28 @@ def test_decompose_flags_non_full_input():
         pass
 
 
+def test_decompose_solves_the_whole_carrier_when_a_frame_block_leaks(monkeypatch):
+    # Two copies of GP (6, 8), which is 2 x 24, conjugated and read back from
+    # a file rounded to 10 digits (residual 1.4e-9, inside the parse gate).
+    # The probe's cut finds the two 48-dimensional trees, but rounding puts
+    # their invariance defects above _INV_TOL, so End is solved once on all
+    # 96 dimensions and split into the four irreducibles.
+    rng = np.random.default_rng(0)
+    g = core.boxtimes(families.gp_module(random_gp(rng, 6)), families.gp_module(random_gp(rng, 8)))
+    obj = json.loads(fileio.serialize_module(core.conjugate(core.direct_sum(g, g), random_unitary(rng, 96))))
+    obj["legs"] = [[[[float(f"{x:.10g}") for x in z] for z in row] for row in leg] for leg in obj["legs"]]
+    m = fileio.parse_module_file(json.dumps(obj))[0]
+    sizes, solve = [], la.commutation_kernel
+    monkeypatch.setattr(la, "commutation_kernel",
+                        lambda pairs, rtol: sizes.append(pairs[0][0].shape[0]) or solve(pairs, rtol))
+    rep = structure.decompose_full(m, seed=0)
+    assert [(s.dimension, s.tag) for s in rep.summands] == [(24, "diffuse")] * 4
+    assert rep.confidence == "certified"
+    assert sizes == [96, 24, 24, 24, 24]
+    q = np.hstack([s.isometry for s in rep.summands])
+    assert np.linalg.norm(q.conj().T @ q - np.eye(96)) < 1e-8
+
+
 def test_decompose_tags_atomic_and_diffuse():
     atom = families.atomic_module(families.AtomicLabel("01", 1.0))
     diff = families.random_module(2, "N", seed=11)
@@ -788,7 +819,7 @@ def test_diffuse_certificate_walk_alone_tests_the_legs(monkeypatch):
     calls = []
     norm = la.spectral_norm
     monkeypatch.setattr(la, "spectral_norm", lambda x: calls.append(1) or norm(x))
-    assert structure._diffuse_certificate(m, np.eye(2, dtype=complex))
+    assert structure._diffuse_certificate(m)
     assert len(calls) == 4
 
 

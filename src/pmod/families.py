@@ -10,13 +10,14 @@ the generic product is cross-checked against these in the tests.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import core
 from . import linalg as la
-from .errors import NotD2Shape, NotInvertible, NotPrime
+from .errors import NotD2Shape, NotInvertible, NotPrime, TooLarge
 
 _PHASE_TOL = 1e-6
 
@@ -60,9 +61,22 @@ def lyndon_walk(max_len: int, grow, root):
 
 
 def prime_words(d: int) -> list[str]:
-    """Canonical (lexicographically least rotation) prime binary words of length d."""
+    """Canonical (lexicographically least rotation) prime binary words of length d.
+
+    The words are counted first, from 2^k = sum over j | k of j L(j) (the
+    necklace formula). When their strs and list slots would take more than
+    linalg._SOLVE_CAP bytes, TooLarge is raised before the walk: length 28
+    is listed, 29 refused. A length past the cap's bit length is refused
+    uncounted: its over 2^(d-1) / d words of d letters alone pass the cap.
+    """
     if d < 1:
         raise ValueError("word length must be positive")
+    count: dict[int, int] = {}
+    for k in range(1, min(d, la._SOLVE_CAP.bit_length()) + 1):
+        count[k] = (2**k - sum(j * count[j] for j in count if k % j == 0)) // k
+    if d not in count or count[d] * (sys.getsizeof("0" * d) + 8) > la._SOLVE_CAP:
+        raise TooLarge(f"the prime words of length {d} would take more than the "
+                       f"{la._SOLVE_CAP / 2**30:g} GiB allocation cap")
     walk = lyndon_walk(d, lambda state, digit: state, True)
     return [word for word, _, lyndon in walk if lyndon and len(word) == d]
 

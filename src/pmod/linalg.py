@@ -49,10 +49,11 @@ _GS_KEEP = 1e-6
 # atomic_diffuse_fuse): an invertible leg is full rank to polar.
 _GRAM_FLOOR = 5e-8
 
-# Largest working set, in bytes, a commutant solve may allocate: the fold's
-# stacked QR input [R; block], 2 (pq)^2 complex entries, or the reduced
-# route's block, p q u entries. Plain intertwiners of a carrier-64 module
-# (0.54 GB) fit; above the cap the solve raises TooLarge before allocating.
+# pmod's one allocation cap, in bytes: the largest working set a commutant
+# solve may allocate (the fold's stacked QR input [R; block], 2 (pq)^2 complex
+# entries, or the reduced route's block, p q u entries) and the largest list
+# families.prime_words builds. Plain intertwiners of a carrier-64 module
+# (0.54 GB) fit; above the cap TooLarge is raised before allocating.
 _SOLVE_CAP = 2**30
 
 # polar's switch from the eigensolve of m* m to an SVD of m: below this ratio
@@ -219,21 +220,24 @@ def gram_schmidt(columns: np.ndarray, against: np.ndarray | None = None) -> np.n
         columns = columns[:, None]
     dim, count = columns.shape
     base = 0 if against is None else against.shape[1]
-    # Rows of q are the basis vectors, so every prefix q[:k] is contiguous.
+    # Rows of q are the basis vectors and rows of qc their conjugates, so every
+    # prefix q[:k] is contiguous and its coefficients are qc[:k] @ v.
     q = np.empty((base + count, dim), dtype=np.complex128)
+    qc = np.empty_like(q)
     if base:
-        q[:base] = against.T
+        q[:base], qc[:base] = against.T, against.T.conj()
     k = base
-    for v, ref in zip(columns.T, np.linalg.norm(columns, axis=0)):
+    for v, ref in zip(columns.T, np.linalg.norm(columns, axis=0).tolist()):
         if k == dim:
             break
         if ref == 0.0:
             continue
-        for _ in range(2):
-            v = v - (q[:k] @ v.conj()).conj() @ q[:k]
+        for _ in range(2 if k else 0):
+            v = v - (qc[:k] @ v) @ q[:k]
         nrm = np.linalg.norm(v)
         if nrm > _GS_KEEP * ref:
             q[k] = v / nrm
+            qc[k] = q[k].conj()
             k += 1
     return np.ascontiguousarray(q[base:k].T)
 
@@ -256,15 +260,17 @@ def kernel_basis(
     near-commuting residual maps) and relative-to-self gating would be
     meaningless.
 
-    One route for every operand: a thin SVD, full only when m is wide, whose
-    extra right singular vectors then carry singular value zero. Singular
-    values are accurate to ~eps * ||m||, so kernels are resolved at full
-    precision.
+    A thin SVD, full only when m is wide, whose extra right singular vectors
+    then carry singular value zero; singular values are accurate to ~eps *
+    ||m||, so kernels are resolved at full precision. One column has one
+    singular value, its norm (0 on a (0, 1) operand), held to the same test.
     """
     m = as_matrix(m)
     rows, cols = m.shape
-    if cols == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
+    if cols <= 1:
+        sigma = np.linalg.norm(m)
+        thr = rtol * (sigma if scale is None else scale)
+        return np.ones((cols, int(cols == 1 and sigma <= thr)), dtype=np.complex128)
     _, sigma, vh = _lapack(np.linalg.svd, m, full_matrices=rows < cols)
     smax = float(sigma[0]) if sigma.size else 0.0
     thr = rtol * (smax if scale is None else scale)
@@ -499,6 +505,8 @@ def unitary_eig(v: np.ndarray, rtol: float = DEFAULT_RTOL) -> tuple[np.ndarray, 
     Returns (values, vectors) with unit-modulus values sorted by angle.
     """
     v = as_matrix(v)
+    if v.shape == (1, 1):  # its own eigenvalue
+        return v[0].copy(), np.ones((1, 1), dtype=np.complex128)
     s = (v + dagger(v)) / 2.0
     t = (v - dagger(v)) / 2.0j
     _, _, q = commuting_hermitian_eig(s, t, rtol)

@@ -153,10 +153,20 @@ class AtomicSummand:
 
 
 def _norm_preserving_coefficients(pq: np.ndarray, rtol: float) -> np.ndarray:
-    """Coefficients c with ||pq c|| = ||c||, i.e. kernel of I - (pq)*(pq)."""
-    gram = la.dagger(pq) @ pq
-    defect = np.eye(gram.shape[0], dtype=np.complex128) - gram
-    return la.kernel_basis(defect, rtol, scale=1.0)
+    """Coefficients c with ||pq c|| = ||c||: G = (pq)*(pq) <= I, so G's eigenvectors
+    with eigenvalue within rtol of 1 (one eigh, which reads one triangle of G)."""
+    if pq.shape[1] == 1:  # G is the squared norm
+        return np.ones((1, int(abs(1.0 - np.vdot(pq, pq).real) <= rtol)), dtype=np.complex128)
+    lam, vecs = la._lapack(np.linalg.eigh, la.dagger(pq) @ pq)
+    return vecs[:, np.abs(1.0 - lam) <= rtol]
+
+
+def _decays(m: core.PModule, rtol: float) -> bool:
+    """s <= _DECAY_PRUNE and 1 - s^2 > rtol, s the largest leg norm (singular values
+    only): then the atomic walk's root kernels are empty (no atom) and the diffuse
+    certificate prunes every branch at its first level."""
+    s = float(la._lapack(np.linalg.svd, np.stack(m.legs), compute_uv=False).max(initial=0.0))
+    return s <= _DECAY_PRUNE and 1.0 - s * s > rtol
 
 
 def atomic_part(
@@ -172,9 +182,11 @@ def atomic_part(
     eigenvectors generate the carriers, one summand per unit-modulus
     eigenvalue with multiplicity. An orbit spans at most d dimensions, so
     the walk stops at length min(max_len, d): a larger max_len changes
-    nothing.
+    nothing. Legs that decay (``_decays``) hold no atom: nothing is walked.
     """
     core._require_arity2(m, "atomic_part")
+    if _decays(m, rtol):
+        return []
     d = m.dim
     depth = d if max_len is None else min(max_len, d)
     claimed = np.zeros((d, 0), dtype=np.complex128)
@@ -189,6 +201,8 @@ def atomic_part(
         return (q @ coef, child @ coef) if coef.shape[1] else None
 
     for word, (stable, ps), lyndon in families.lyndon_walk(depth, grow, (eye, eye)):
+        if claimed.shape[1] == d:
+            break  # every later carrier would already be claimed
         if not lyndon:
             continue
         while stable.shape[1]:
@@ -200,7 +214,7 @@ def atomic_part(
                 break
             stable = stable @ coef
             # Recomputed from the word operator, so every pass rounds alike.
-            ps = core.word_operator(m, word) @ stable
+            ps = core.word_operator(m, word) @ stable if coef.shape[1] else ps
         if not stable.shape[1]:
             continue
         phases, vecs = la.unitary_eig(la.dagger(stable) @ ps, rtol)
@@ -299,8 +313,8 @@ def _diffuse_certificate(m: core.PModule) -> bool:
     """Certify that every word operator of m decays to zero.
 
     Walks the word tree pruning branches whose operator norm fell to the
-    unit threshold (its first level tests the legs themselves). True only
-    when all branches die within budget.
+    unit threshold (its first level tests the legs themselves: ``_decays``).
+    True only when all branches die within budget.
     """
     level = [np.eye(m.dim, dtype=np.complex128)]
     for _ in range(_DECAY_DEPTH):
@@ -339,8 +353,10 @@ def classify_parts(
     leg-invariant and passes the decay certificate.
     """
     comp, atoms = _complete_and_atoms(m, max_len, rtol, use_class_shortcut=True)
+    # Class M: the whole carrier, which is certified diffuse at once if it decays.
+    decays = atoms is None and _decays(m, rtol)
     if atoms is None:
-        atoms = atomic_part(m, max_len, rtol)
+        atoms = [] if decays else atomic_part(m, max_len, rtol)
     v = comp.isometry
     if atoms:
         c = np.hstack([s.isometry for s in atoms])
@@ -353,7 +369,7 @@ def classify_parts(
     residual = m.dim - comp.p_dimension
 
     confidence = comp.confidence
-    if diffuse_dim and (
+    if diffuse_dim and not decays and (
         _invariance_defect(m, diffuse) > _INV_TOL
         or not _diffuse_certificate(_restricted_module(m, diffuse))
     ):
@@ -398,9 +414,9 @@ def _trace_key(m: core.PModule) -> tuple:
     Unitary equivalence preserves every entry, so equivalent summands get
     equal keys.
     """
-    ops = [*m.legs, *(lj @ li for i, li in enumerate(m.legs) for lj in m.legs[i:])]
-    traces = np.array([np.trace(op) for op in ops], dtype=np.complex128)
-    return tuple((round(t.real, 6), round(t.imag, 6)) for t in traces)
+    pairs = [(lj * li.T).sum() for i, li in enumerate(m.legs) for lj in m.legs[i:]]
+    traces = np.round(np.array([*map(np.trace, m.legs), *pairs], dtype=np.complex128), 6)
+    return tuple(zip(traces.real.tolist(), traces.imag.tolist()))
 
 
 def _probe(m: core.PModule, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -423,14 +439,17 @@ def _frame(m: core.PModule, eig: la.HermEig, forest: tuple | None = None) -> tup
     contiguous in ``order``; margin is the gap's ratio. A child cluster of
     its parent's size is turned by the polar factor of its block in edge[j],
     the R_k or R_k* where it is largest, making it positive (smin: its
-    smallest singular value). Across copies of one irreducible the blocks
-    become multiples of I, so copy i is column i of every cluster.
+    smallest singular value; for a simple cluster, one entry's conjugate
+    phase). Across copies of one irreducible the blocks become multiples of
+    I, so copy i is column i of every cluster. Given a forest, only its edge
+    blocks are read, from L_k V: the R_k are not formed.
     """
-    rot, n = _restricted_module(m, eig.vectors).legs, m.arity
+    v, n = eig.vectors, m.arity
+    lv = np.stack(m.legs) @ v
     if forest is None:
         runs = la.cluster_runs(eig.values)
         c, starts = len(runs), [a for a, _ in runs]
-        mags = np.maximum.reduceat(np.maximum.reduceat(np.abs(np.stack(rot)), starts, 1), starts, 2)
+        mags = np.maximum.reduceat(np.maximum.reduceat(np.abs(la.dagger(v) @ lv), starts, 1), starts, 2)
         w = np.maximum(mags.max(axis=0), mags.max(axis=0).T)
         parent, weight, order, reach = np.full(c, -1), np.zeros(c), [], w.copy()
         best, src = np.full(c, -1.0), np.full(c, -1)
@@ -449,22 +468,33 @@ def _frame(m: core.PModule, eig: la.HermEig, forest: tuple | None = None) -> tup
         parent[weight < cut] = -1
         forest = (runs, order, parent, edge, cut, float(pts[i + 1] / pts[i]))
     runs, order, parent, edge = forest[:4]
-    sizes = np.array([b - a for a, b in runs])
+    starts, sizes = np.array([(a, b - a) for a, b in runs], dtype=int).reshape(-1, 2).T
     kids = [j for j in order if parent[j] >= 0 and sizes[j] == sizes[parent[j]]]
-    eye, smin = np.eye(sizes.max(initial=0), dtype=np.complex128), np.full(len(runs), np.inf)
-    turns = [eye[:k, :k] for k in sizes]
-    for k in {sizes[j] for j in kids}:  # one batched SVD per cluster size
-        batch = [j for j in kids if sizes[j] == k]
-        ends = [(slice(*runs[parent[j]]), slice(*runs[j]), edge[j]) for j in batch]
-        blocks = [rot[e][a, b] if e < n else la.dagger(rot[e - n][b, a]) for a, b, e in ends]
+    smin, phase, turns = np.full(len(runs), np.inf), np.ones(len(runs), dtype=np.complex128), {}
+    for k in {sizes[j] for j in kids}:  # one batched turn per cluster size
+        batch = np.array([j for j in kids if sizes[j] == k])
+        e, up, down = edge[batch], starts[parent[batch]], starts[batch]
+        # Edge blocks R_e[up, down], or R_{e-n}[down, up]* on an adjoint edge, from V and L_e V.
+        if k == 1:  # one fancy index; the turn is the entry's conjugate phase
+            fwd = e < n
+            x = np.einsum("ij,ij->j", v[:, np.where(fwd, up, down)].conj(), lv[e % n, :, np.where(fwd, down, up)].T)
+            x = np.where(fwd, x, x.conj())
+            smin[batch], phase[batch] = np.abs(x), np.exp(-1j * np.angle(x))
+            continue
+        ends = [(slice(a, a + k), slice(b, b + k), f) for a, b, f in zip(up, down, e)]
+        blocks = [la.dagger(v[:, a]) @ lv[f][:, b] if f < n else la.dagger(la.dagger(v[:, b]) @ lv[f - n][:, a])
+                  for a, b, f in ends]
         u, sigma, vh = np.linalg.svd(np.stack(blocks))
         smin[batch] = sigma[:, -1]
-        for j, turn in zip(batch, np.conj(u @ vh).transpose(0, 2, 1)):
-            turns[j] = turn
-    for j in kids:
-        turns[j] = turns[j] @ turns[parent[j]]
-    parts = [eig.vectors[:, a:b] @ t for (a, b), t in zip(runs, turns)]
-    return np.hstack([eig.vectors[:, :0], *parts]), forest, smin
+        turns.update(zip(batch.tolist(), np.conj(u @ vh).transpose(0, 2, 1)))
+    for j in kids:  # parents first; phases stay 1 on larger clusters
+        phase[j] *= phase[parent[j]]
+        if parent[j] in turns:
+            turns[j] = turns[j] @ turns[parent[j]]
+    frame = v * np.repeat(phase, sizes)
+    for j, turn in turns.items():
+        frame[:, slice(*runs[j])] = v[:, slice(*runs[j])] @ turn
+    return frame, forest, smin
 
 
 def decompose_full(
@@ -532,17 +562,19 @@ def decompose_full(
     blocks = []
     for q, ok in found:
         blocks += [(q, _restricted_module(m, q))] if ok else split(q)
-    blocks.sort(key=lambda block: (block[0].shape[1], _trace_key(block[1])))
+    dims = np.bincount([q.shape[1] for q, _ in blocks])  # the stable sort keys equal dimensions only
+    blocks.sort(key=lambda b: (b[0].shape[1], dims[b[0].shape[1]] > 1 and _trace_key(b[1])))
     summands = []
     for q, sub in blocks:
         k = q.shape[1]
         tag, label = "unknown", None
-        atoms = atomic_part(sub, rtol=rtol) if sub.arity == 2 else []
+        decays = _decays(sub, rtol)
+        atoms = atomic_part(sub, rtol=rtol) if sub.arity == 2 and not decays else []
         if atoms and sum(s.isometry.shape[1] for s in atoms) == k:
             tag = "atomic"
             if len(atoms) == 1:
                 label = atoms[0].label
-        elif not atoms and _diffuse_certificate(sub):
+        elif not atoms and (decays or _diffuse_certificate(sub)):
             tag = "diffuse"
         summands.append(Summand(isometry=q, dimension=k, tag=tag, label=label))
     confidence = "certified" if certified else "heuristic"

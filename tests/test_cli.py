@@ -706,6 +706,13 @@ def test_cli_prime_words(capsys):
     assert payload["count"] == 9
 
 
+def test_cli_prime_words_above_the_cap_exit_1(capsys):
+    # 2.7e10 words of length 40: refused at once instead of listed.
+    code, out, err = run_cli(capsys, "prime-words", "40")
+    assert code == 1 and out == ""
+    assert err.startswith("ERROR TooLarge:")
+
+
 def test_cli_arity_gate_exit_1(files, capsys, tmp_path):
     _, write = files
     four = write(

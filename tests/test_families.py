@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pmod import core, families, structure
 from pmod import linalg as la
-from pmod.errors import NotD2Shape, NotInvertible, NotPrime
+from pmod.errors import NotD2Shape, NotInvertible, NotPrime, TooLarge
 
 from conftest import d2_display_pair, random_d2, random_gp, random_unitary, restricted
 
@@ -48,6 +48,15 @@ def test_prime_word_counts_necklace_formula():
     for d in range(1, 13):
         count = sum(mu[p] * 2 ** (d // p) for p in range(1, d + 1) if d % p == 0) // d
         assert len(families.prime_words(d)) == count
+
+
+def test_prime_words_above_the_allocation_cap_are_refused():
+    # Length 28 lists 9 586 395 words (about 0.76 GiB as strs), 29 would
+    # list 18 512 790 (about 1.5 GiB): refused before the walk, like every
+    # longer length, where the letters alone pass the 1 GiB cap.
+    for d in (29, 31, 32, 40, 10**9):
+        with pytest.raises(TooLarge, match="allocation cap"):
+            families.prime_words(d)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -242,6 +242,35 @@ def test_kernel_basis_precision_and_wide_operand():
     assert np.linalg.norm(k.conj().T @ k - np.eye(2)) <= 1e-12
 
 
+def _svd_route_kernel(m, rtol, scale=None):
+    """kernel_basis's SVD route on any operand, one-column ones included."""
+    rows, cols = m.shape
+    _, sigma, vh = np.linalg.svd(m, full_matrices=rows < cols)
+    thr = rtol * ((sigma[0] if sigma.size else 0.0) if scale is None else scale)
+    padded = np.zeros(cols)
+    padded[: sigma.size] = sigma
+    return vh[padded <= thr].conj().T
+
+
+@pytest.mark.parametrize("column, rtol, scale", [
+    (np.zeros((3, 1)), 1e-9, None),  # zero column: kernel under either scale
+    (np.zeros((3, 1)), 1e-9, 1.0),
+    (np.zeros((0, 1)), 1e-9, None),  # no rows: norm 0, the whole column
+    (np.zeros((0, 1)), 1e-9, 1.0),
+    (np.array([[3.0], [4.0j]]), 1e-9, None),  # sigma = 5
+    (np.array([[3.0], [4.0j]]), 1e-9, 1.0),
+    (np.array([[3.0], [4.0j]]), 1.0, None),  # sigma exactly at rtol * sigma
+    (np.array([[0.0], [0.5]]), 0.5, 1.0),  # sigma exactly at rtol * scale
+    (np.array([[0.0], [0.5]]), 0.4999, 1.0),
+    (np.array([[1e-10], [0.0], [0.0]]), 1e-9, 1.0),
+])
+def test_one_column_kernel_matches_svd_route(column, rtol, scale):
+    got = la.kernel_basis(column.astype(complex), rtol, scale=scale)
+    want = _svd_route_kernel(column.astype(complex), rtol, scale)
+    assert got.shape == want.shape
+    assert np.linalg.norm(got @ got.conj().T - want @ want.conj().T) == 0.0
+
+
 def test_lapack_failure_maps_to_no_convergence(monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("did not converge")
@@ -309,6 +338,18 @@ def test_unitary_eig_rotation():
     vals, q = la.unitary_eig(v)
     assert np.allclose(sorted(np.angle(vals)), [-theta, theta])
     assert np.linalg.norm(v @ q - q @ np.diag(vals)) < 1e-12
+
+
+def test_unitary_eig_one_by_one():
+    # Its own eigenvalue, as the commuting-parts route gives it.
+    for z in (np.exp(0.7j), -1.0 + 0j, np.exp(-2.9j)):
+        vals, q = la.unitary_eig(np.array([[z]]))
+        assert vals.shape == (1,) and vals[0] == z
+        assert np.array_equal(q, np.ones((1, 1)))
+        s, t = np.array([[z.real]]), np.array([[z.imag]])
+        assert np.array_equal(la.commuting_hermitian_eig(s, t)[2], q)
+    with pytest.raises(ShapeMismatch):
+        la.unitary_eig(np.array([[np.nan]]))
 
 
 def test_eig_general_residuals():

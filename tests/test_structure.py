@@ -995,3 +995,83 @@ def test_equivalent_verdicts_never_flip_under_noise(monkeypatch):
                             res = structure.equivalent(m, _noisy(other, eps, rng), rtol=rtol)
                         assert res.verdict is not never, (seed, i, rtol, eps, res.reason)
                         assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# Leg-norm tags and the turned frame.
+# ---------------------------------------------------------------------------
+
+
+def _summary(rep):
+    return [(s.dimension, s.tag, s.label and (s.label.word, round(float(np.angle(s.label.phase)), 9)))
+            for s in rep.summands]
+
+
+@pytest.mark.parametrize("rtol", [1e-12, 1e-9, 1e-7])
+def test_leg_norm_tags_match_walk_and_certificate(monkeypatch, rtol):
+    # Class N, products and atomic sums: with the one singular-value pass
+    # turned off, the walk and the certificate give the same tags.
+    mods = [families.random_module(4, "N", seed=3), _structure_inputs(5)[0][0]]
+    mods += [m for m, _, _ in _structure_inputs(6)[1:]] + [_seeded_atomic_sum(7, 0.0)]
+    for m in mods:
+        gated = (structure.atomic_part(m, rtol=rtol), structure.classify_parts(m, rtol=rtol),
+                 structure.decompose_full(m, rtol=rtol, seed=0), structure._decays(m, rtol))
+        with monkeypatch.context() as mp:
+            mp.setattr(structure, "_decays", lambda m, rtol: False)
+            walked = (structure.atomic_part(m, rtol=rtol), structure.classify_parts(m, rtol=rtol),
+                      structure.decompose_full(m, rtol=rtol, seed=0))
+            if gated[3]:
+                assert walked[0] == [] and structure._diffuse_certificate(m)
+        keys = [[(s.label.word, round(float(np.angle(s.label.phase)), 9)) for s in out]
+                for out in (gated[0], walked[0], gated[1].atomic, walked[1].atomic)]
+        assert keys[0] == keys[1] == keys[2] == keys[3]
+        reports = (gated[1], walked[1])
+        assert len({(r.diffuse_dim, r.atomic_dim, r.residual_dim, r.confidence) for r in reports}) == 1
+        assert _summary(gated[2]) == _summary(walked[2])
+        assert gated[2].confidence == walked[2].confidence
+
+
+def test_leg_norm_gate_edge_runs_the_walk(monkeypatch):
+    # sigma_max = 1 - 2e-7 is below the prune, but at rtol 1e-6 the leg
+    # preserves the norm of e_1 (1 - sigma^2 = 4e-7): the walk must run and
+    # find the atom "0". At rtol 1e-9 the gate holds and nothing is walked.
+    a = np.array([1 - 2e-7, 0.5])
+    m = core.PModule(legs=(np.diag(a).astype(complex), np.diag(np.sqrt(1 - a**2)).astype(complex)))
+    calls = _count_norm_preserving(monkeypatch)
+    assert not structure._decays(m, 1e-6)
+    atoms = structure.atomic_part(m, rtol=1e-6)
+    assert calls and [s.label.word for s in atoms] == ["0"]
+    assert structure._decays(m, 1e-9)
+    calls.clear()
+    assert structure.atomic_part(m, rtol=1e-9) == [] and calls == []
+    assert [s.tag for s in structure.decompose_full(m, rtol=1e-9).summands] == ["diffuse"] * 2
+
+
+def test_frame_turns_simple_clusters_to_positive_couplings():
+    # A generic product has a simple probe spectrum: every turn is a phase,
+    # every forest edge coupling of the turned frame is positive real, and
+    # the frame is unitary. Given the forest, the twin's frame (read from
+    # its forest edges alone) is turned the same way, and m's own forest
+    # reproduces m's frame.
+    m, twin, _ = _structure_inputs(8)[0]
+    for mod in (m, twin):
+        eig = la._eigh(structure._probe(mod, np.random.default_rng(0))[1])
+        frame, forest, smin = structure._frame(mod, eig)
+        runs, order, parent, edge = forest[:4]
+        assert all(b - a == 1 for a, b in runs)
+        assert np.linalg.norm(frame.conj().T @ frame - np.eye(mod.dim)) < 1e-12
+        assert np.linalg.norm(structure._frame(mod, eig, forest)[0] - frame) < 1e-12
+        turned = np.stack([frame.conj().T @ leg @ frame for leg in mod.legs])
+        n = mod.arity
+        for j in order:
+            p = parent[j]
+            if p < 0:
+                continue
+            x = turned[edge[j], p, j] if edge[j] < n else np.conj(turned[edge[j] - n, j, p])
+            assert abs(x.imag) < 1e-12 and abs(x.real - smin[j]) < 1e-12 and x.real > 0
+    eig = la._eigh(structure._probe(m, np.random.default_rng(0))[1])
+    eig_t = la._eigh(structure._probe(twin, np.random.default_rng(0))[1])
+    frame, forest, _ = structure._frame(m, eig)
+    frame_t = structure._frame(twin, eig_t, forest)[0]
+    assert np.linalg.norm(frame_t.conj().T @ frame_t - np.eye(m.dim)) < 1e-12
+    assert structure._verify_witness(m, twin, frame_t @ frame.conj().T, 1e-9)

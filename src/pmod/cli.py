@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", parents=[common], help="decompose a full module")
     p.add_argument("module")
-    p.add_argument("--seed", type=int, required=True, help="seed for the commutant split")
+    p.add_argument("--seed", type=int, required=True, help="seed for the probe and the commutant split")
     p.set_defaults(handler=_cmd_decompose)
 
     p = sub.add_parser("classify", parents=[common], help="atomic/diffuse/residual split")
@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", parents=[common], help="unitary equivalence test")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True, help="seed for the probe")
     p.set_defaults(handler=_cmd_equiv)
 
     p = sub.add_parser("atomic", parents=[common], help="atomic summands with labels")

@@ -223,7 +223,7 @@ def atomic_diffuse_fuse(
     v = np.eye(m_d.dim, dtype=np.complex128)
     for digit in label.word:
         v = (va if digit == "0" else vb) @ v
-    phases, _ = la.unitary_eig(v, rtol)
+    phases, _ = la.unitary_eig(v)
     labels = [AtomicLabel(word=label.word, phase=phi * label.phase) for phi in phases]
     return sorted(labels, key=lambda lb: (np.angle(lb.phase), lb.phase.real))
 

@@ -13,9 +13,12 @@ anything that size is allocated.
 
 Gates: hermitian_eig, polar, kernel_basis, singular_extremes, unitary_eig and
 eig_general refuse non-finite operands (as_matrix: ShapeMismatch); hermitian_eig
-also refuses non-square and non-Hermitian ones. polar, core's fusion factors
-and structure's probe skip that for its solver ``_eigh`` (finite entries only):
-gram(m) and x + x* are exactly Hermitian, so the gate could not fire.
+also refuses non-square and non-Hermitian ones. Operands exactly Hermitian
+as built (entry (i, j) and the conjugate of (j, i) are the same rounded
+sums) skip that gate, which could not fire, for its solver ``_eigh`` (finite
+entries only): gram(m) in polar and core's fusion factors, structure's probe
+x + x* and split element (y + y*) / 2, unitary_eig's parts (v + v*) / 2 and
+(v - v*) / 2i, and the blocks commuting_hermitian_eig symmetrizes.
 
 All rank and kernel decisions are relative to the largest singular value of
 the operand; ``DEFAULT_RTOL`` is the package-wide default gate.
@@ -290,10 +293,6 @@ def singular_extremes(m: np.ndarray) -> tuple[float, float]:
     return float(sigma[-1]), float(sigma[0])
 
 
-def spectral_norm(m: np.ndarray) -> float:
-    return singular_extremes(m)[1]
-
-
 def _invertible(smin: float, smax: float, n: int, rtol: float) -> bool:
     return smax > 0.0 and smin > max(n * rtol, _GRAM_FLOOR) * smax
 
@@ -415,7 +414,7 @@ def _fold_kernel(pairs, rtol: float, scale: float) -> list[np.ndarray]:
     r = None
     for mk, nk in pairs:
         block = kron(eye_p, nk.T) - kron(mk, eye_q)
-        r = block if r is None else np.linalg.qr(np.vstack([r, block]), mode="r")
+        r = block if r is None else _lapack(np.linalg.qr, np.vstack([r, block]), mode="r")
     null = kernel_basis(r, rtol, scale=scale)
     return [null[:, j].reshape(p, q) for j in range(null.shape[1])]
 
@@ -451,8 +450,8 @@ def _reduced_kernel(pairs, tau: float) -> list[np.ndarray] | None:
         block = np.zeros((p, q, u.size), dtype=np.complex128)
         block[rows, :, u] = (dagger(vn) @ nk @ vn)[cols]
         block[:, cols, u] -= (dagger(vm) @ mk @ vm)[:, rows]
-        block = np.linalg.qr(block.reshape(p * q, u.size), mode="r")
-        r = block if r is None else np.linalg.qr(np.vstack([r, block]), mode="r")
+        block = _lapack(np.linalg.qr, block.reshape(p * q, u.size), mode="r")
+        r = block if r is None else _lapack(np.linalg.qr, np.vstack([r, block]), mode="r")
     _, sigma, vh = _lapack(np.linalg.svd, r, full_matrices=False)
     if np.count_nonzero(sigma <= tau) != np.count_nonzero(sigma <= f * tau):
         return None
@@ -474,18 +473,16 @@ def cluster_runs(values: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def commuting_hermitian_eig(
-    s: np.ndarray, t: np.ndarray, rtol: float = DEFAULT_RTOL
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def commuting_hermitian_eig(s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Joint eigenbasis of two commuting Hermitian matrices.
 
     Diagonalizes s, then re-diagonalizes t inside each (near-)degenerate
     eigenspace of s; on a one-dimensional eigenspace t's value is read off
-    directly. Returns (s_values, t_values, basis).
+    directly. Returns (s_values, t_values, basis). s and the blocks of t are
+    symmetrized as hermitian_eig does, past its gate (see the module notes).
     """
-    eig_s = hermitian_eig(s, rtol)
-    q = eig_s.vectors.copy()
-    s_vals = eig_s.values.copy()
+    eig_s = _eigh((s + dagger(s)) / 2.0)
+    s_vals, q = eig_s.values, eig_s.vectors  # fresh arrays: q is turned in place
     t_vals = np.zeros_like(s_vals)
     for start, stop in cluster_runs(s_vals):
         block = q[:, start:stop]
@@ -493,13 +490,13 @@ def commuting_hermitian_eig(
         if stop - start == 1:
             t_vals[start] = t_hat[0, 0].real
             continue
-        sub = hermitian_eig((t_hat + dagger(t_hat)) / 2.0, rtol)
+        sub = _eigh((t_hat + dagger(t_hat)) / 2.0)
         q[:, start:stop] = block @ sub.vectors
         t_vals[start:stop] = sub.values
     return s_vals, t_vals, q
 
 
-def unitary_eig(v: np.ndarray, rtol: float = DEFAULT_RTOL) -> tuple[np.ndarray, np.ndarray]:
+def unitary_eig(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a unitary matrix via its commuting Hermitian parts.
 
     Returns (values, vectors) with unit-modulus values sorted by angle.
@@ -507,9 +504,7 @@ def unitary_eig(v: np.ndarray, rtol: float = DEFAULT_RTOL) -> tuple[np.ndarray, 
     v = as_matrix(v)
     if v.shape == (1, 1):  # its own eigenvalue
         return v[0].copy(), np.ones((1, 1), dtype=np.complex128)
-    s = (v + dagger(v)) / 2.0
-    t = (v - dagger(v)) / 2.0j
-    _, _, q = commuting_hermitian_eig(s, t, rtol)
+    _, _, q = commuting_hermitian_eig((v + dagger(v)) / 2.0, (v - dagger(v)) / 2.0j)
     raw = np.diag(dagger(q) @ v @ q)
     order = np.argsort(np.angle(raw), kind="stable")
     return raw[order], np.ascontiguousarray(q[:, order])

@@ -124,9 +124,9 @@ def _minimal_invariant_from(m: core.PModule, seed: np.ndarray) -> np.ndarray:
         c = rng.standard_normal(3)
         theta = c[0] * a + c[1] * b + c[2] * (a @ b)
         try:
-            lam = np.linalg.eigvals(theta)[0]
+            lam = la._lapack(np.linalg.eigvals, theta)[0]
             u, sigma, vh = la.thin_svd(theta - lam * np.eye(k))
-        except (np.linalg.LinAlgError, la.NoConvergence):
+        except la.NoConvergence:
             return cur
         inside = _spin((a, b), la.dagger(vh[-1:]))
         if inside.shape[1] == k:
@@ -217,7 +217,7 @@ def atomic_part(
             ps = core.word_operator(m, word) @ stable if coef.shape[1] else ps
         if not stable.shape[1]:
             continue
-        phases, vecs = la.unitary_eig(la.dagger(stable) @ ps, rtol)
+        phases, vecs = la.unitary_eig(la.dagger(stable) @ ps)
         for j in range(vecs.shape[1]):
             eta = stable @ vecs[:, j]
             if np.linalg.norm(eta - claimed @ (la.dagger(claimed) @ eta)) < 0.5:
@@ -255,31 +255,27 @@ def complete_submodule(
 ) -> CompletePart:
     """Smallest complete submodule (isometry, dimension, confidence).
 
-    Modules with a normal first leg and invertible second leg are full, so
-    the whole carrier is returned directly. Otherwise the candidate starts
-    from the atomic carriers and is forced to completeness: while the
-    orthocomplement holds an invariant subspace (``largest_invariant_in``,
-    the complement of the candidate's adjoint spin), the minimal invariant
-    subspace Norton's test finds in the closure of its first basis vector
-    is added. The final state satisfies the completeness certificate at the
-    spin cut; "certified" also requires the smallest-candidate evidence
-    (class shortcut, whole carrier, or all pieces one-dimensional) and no
-    remainder added whole because its minimal piece fell in the candidate.
+    Modules with a normal first leg and invertible second leg (class M) are
+    full, so the whole carrier is returned directly. Otherwise the candidate
+    starts from the atomic carriers and is forced to completeness
+    (``_completion``): while the orthocomplement holds an invariant subspace
+    (``largest_invariant_in``, the complement of the candidate's adjoint
+    spin), the minimal invariant subspace Norton's test finds in the closure
+    of its first basis vector is added. The final state satisfies the
+    completeness certificate at the spin cut; "certified" also requires the
+    smallest-candidate evidence (class shortcut, whole carrier, or all pieces
+    one-dimensional) and no remainder added whole because its minimal piece
+    fell in the candidate.
     """
-    return _complete_and_atoms(m, max_len, rtol, use_class_shortcut)[0]
-
-
-def _complete_and_atoms(
-    m: core.PModule, max_len: int | None, rtol: float, use_class_shortcut: bool
-) -> tuple[CompletePart, list[AtomicSummand] | None]:
-    """complete_submodule's search, plus the atomic part it computed on the
-    way (None when the class shortcut returned before computing it)."""
     core._require_arity2(m, "complete_submodule")
-    d = m.dim
     if use_class_shortcut and core.in_class_m(m, rtol):
-        return CompletePart(np.eye(d, dtype=np.complex128), d, "certified"), None
+        return CompletePart(np.eye(m.dim, dtype=np.complex128), m.dim, "certified")
+    return _completion(m, atomic_part(m, max_len, rtol))
 
-    atoms = atomic_part(m, max_len, rtol)
+
+def _completion(m: core.PModule, atoms: list[AtomicSummand]) -> CompletePart:
+    """complete_submodule's forced completion of the atomic carriers."""
+    d = m.dim
     # Atomic carriers are exact; every other piece must be one-dimensional
     # for the final candidate to count as certified smallest.
     exact_dim = sum(s.isometry.shape[1] for s in atoms)
@@ -306,29 +302,24 @@ def _complete_and_atoms(
 
     smallest = v.shape[1] in (d, exact_dim) or all(p.shape[1] == 1 for p in pieces)
     confidence = "certified" if smallest and not stalled else "heuristic"
-    return CompletePart(isometry=v, p_dimension=v.shape[1], confidence=confidence), atoms
+    return CompletePart(isometry=v, p_dimension=v.shape[1], confidence=confidence)
 
 
 def _diffuse_certificate(m: core.PModule) -> bool:
     """Certify that every word operator of m decays to zero.
 
-    Walks the word tree pruning branches whose operator norm fell to the
-    unit threshold (its first level tests the legs themselves: ``_decays``).
-    True only when all branches die within budget.
+    Walks the word tree one length at a time, each length one stacked
+    product with one batched singular-value call for its operator norms,
+    pruning words whose norm fell to the unit threshold (the first length
+    tests the legs themselves: ``_decays``). True when all words die within
+    _DECAY_DEPTH; False past it or when more than _DECAY_BREADTH survive.
     """
-    level = [np.eye(m.dim, dtype=np.complex128)]
+    legs, level = np.stack(m.legs), np.eye(m.dim, dtype=np.complex128)[None]
     for _ in range(_DECAY_DEPTH):
-        nxt = []
-        for w in level:
-            for leg in m.legs:
-                cand = leg @ w
-                if la.spectral_norm(cand) > _DECAY_PRUNE:
-                    nxt.append(cand)
-        if not nxt:
-            return True
-        if len(nxt) > _DECAY_BREADTH:
-            return False
-        level = nxt
+        words = (legs[None] @ level[:, None]).reshape(-1, m.dim, m.dim)
+        level = words[la._lapack(np.linalg.svd, words, compute_uv=False)[:, 0] > _DECAY_PRUNE]
+        if not 0 < len(level) <= _DECAY_BREADTH:
+            return not len(level)  # every word died, or too many survive
     return False
 
 
@@ -348,15 +339,18 @@ def classify_parts(
 ) -> ClassifyReport:
     """Split the carrier into atomic, diffuse and residual dimensions.
 
-    The diffuse candidate is the orthocomplement of the atomic span inside
-    the complete part; it counts as certified diffuse when it is
-    leg-invariant and passes the decay certificate.
+    The complete part is complete_submodule's, from one atomic part; the
+    legs of a class-M module that decay (``_decays``) hold no atom and make
+    the whole carrier certified diffuse. Otherwise the diffuse candidate, the
+    orthocomplement of the atomic span in the complete part, is certified
+    when it is leg-invariant and passes the decay certificate.
     """
-    comp, atoms = _complete_and_atoms(m, max_len, rtol, use_class_shortcut=True)
-    # Class M: the whole carrier, which is certified diffuse at once if it decays.
-    decays = atoms is None and _decays(m, rtol)
-    if atoms is None:
-        atoms = [] if decays else atomic_part(m, max_len, rtol)
+    core._require_arity2(m, "classify_parts")
+    class_m = core.in_class_m(m, rtol)
+    decays = class_m and _decays(m, rtol)
+    atoms = [] if decays else atomic_part(m, max_len, rtol)
+    comp = (CompletePart(np.eye(m.dim, dtype=np.complex128), m.dim, "certified") if class_m
+            else _completion(m, atoms))
     v = comp.isometry
     if atoms:
         c = np.hstack([s.isometry for s in atoms])
@@ -484,7 +478,7 @@ def _frame(m: core.PModule, eig: la.HermEig, forest: tuple | None = None) -> tup
         ends = [(slice(a, a + k), slice(b, b + k), f) for a, b, f in zip(up, down, e)]
         blocks = [la.dagger(v[:, a]) @ lv[f][:, b] if f < n else la.dagger(la.dagger(v[:, b]) @ lv[f - n][:, a])
                   for a, b, f in ends]
-        u, sigma, vh = np.linalg.svd(np.stack(blocks))
+        u, sigma, vh = la._lapack(np.linalg.svd, np.stack(blocks))
         smin[batch] = sigma[:, -1]
         turns.update(zip(batch.tolist(), np.conj(u @ vh).transpose(0, 2, 1)))
     for j in kids:  # parents first; phases stay 1 on larger clusters
@@ -527,7 +521,7 @@ def decompose_full(
             return [(q, sub)]
         coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
         y = sum(c * x for c, x in zip(coeffs, basis))
-        eig = la.hermitian_eig((y + la.dagger(y)) / 2.0, rtol)
+        eig = la._eigh((y + la.dagger(y)) / 2.0)
         runs = la.cluster_runs(eig.values)
         if len(runs) == 1:
             certified = False

@@ -102,6 +102,7 @@ def test_funcalc_examples():
         la.psd_funcalc(np.diag([0.5, 0.5]).astype(complex), "inv_sqrt"),
         np.diag([np.sqrt(2)] * 2),
     )
+    assert np.allclose(la.psd_funcalc(np.diag([2.0, 4.0]).astype(complex), "inv"), np.diag([0.5, 0.25]))
 
 
 def test_funcalc_gates():

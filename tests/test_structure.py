@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from pmod import core, families, fileio, structure
+from pmod import cli, core, families, fileio, structure
 from pmod import linalg as la
 from pmod.errors import NotFullSuspected, TooLarge
 
@@ -137,7 +137,7 @@ def _full_depth_atomic_part(m, rtol=1e-9):
                     break
                 stable = stable @ coef
             if stable.shape[1]:
-                phases, vecs = la.unitary_eig(la.dagger(stable) @ prefix @ stable, rtol)
+                phases, vecs = la.unitary_eig(la.dagger(stable) @ prefix @ stable)
                 prefixes = [eye]
                 for digit in word[:-1]:
                     prefixes.append(m.legs[int(digit)] @ prefixes[-1])
@@ -324,8 +324,9 @@ def test_classify_atomic_emergence_product():
     assert rep.atomic[0].label.word == "1"
     assert abs(rep.atomic[0].label.phase - 1.0) < 1e-9
     xi = np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2)
-    angle = np.arccos(min(1.0, abs(np.vdot(rep.atomic[0].isometry[:, 0], xi))))
-    assert angle <= 1e-8
+    v = rep.atomic[0].isometry[:, 0]
+    # For unit vectors this is the sine of the angle between them.
+    assert np.linalg.norm(v - np.vdot(xi, v) * xi) <= 1e-8
     # The complement is diffuse irreducible.
     sub = restricted(n, rep.diffuse_isometry)
     assert len(structure.intertwiner_basis(sub, sub)) == 1
@@ -811,16 +812,32 @@ def test_minimal_invariant_quotient_eigenvalue_splits_by_adjoint_spin(monkeypatc
     assert [f for f in firsts if f[1] == 3] == [[3, 3, 1]]
 
 
-def test_diffuse_certificate_walk_alone_tests_the_legs(monkeypatch):
-    # A nilpotent leg of norm 1 survives the first level; every word of
-    # length 2 falls below the prune. The walk takes 2 + 2 norms and none
-    # are taken before it.
-    m = core.PModule(legs=(np.array([[0, 1], [0, 0]], dtype=complex), 0.5 * np.eye(2, dtype=complex)))
+def _count_lapack_calls(monkeypatch):
+    """Operand shapes of the calls that go through la._lapack."""
     calls = []
-    norm = la.spectral_norm
-    monkeypatch.setattr(la, "spectral_norm", lambda x: calls.append(1) or norm(x))
+    lapack = la._lapack
+    monkeypatch.setattr(la, "_lapack", lambda f, a, **k: calls.append(a.shape) or lapack(f, a, **k))
+    return calls
+
+
+def test_diffuse_certificate_walk_alone_tests_the_legs(monkeypatch):
+    # A nilpotent leg of norm 1 survives the first word length; every word
+    # of length 2 falls below the prune. The walk takes one batched norm
+    # call per length and none are taken before it.
+    m = core.PModule(legs=(np.array([[0, 1], [0, 0]], dtype=complex), 0.5 * np.eye(2, dtype=complex)))
+    calls = _count_lapack_calls(monkeypatch)
     assert structure._diffuse_certificate(m)
-    assert len(calls) == 4
+    assert calls == [(2, 2, 2), (2, 2, 2)]
+
+
+def test_diffuse_certificate_refuses_past_breadth(monkeypatch):
+    # On atoms "0" + "1" the words 0...0 and 1...1 keep norm 1 at every
+    # length, so the walk never dies; two survivors exceed a breadth of one.
+    m = core.direct_sum(*(families.atomic_module(families.AtomicLabel(w, 1.0)) for w in "01"))
+    monkeypatch.setattr(structure, "_DECAY_BREADTH", 1)
+    calls = _count_lapack_calls(monkeypatch)
+    assert not structure._diffuse_certificate(m)
+    assert calls == [(2, 2, 2)]
 
 
 def test_classify_is_self_consistent_on_generic_product():
@@ -947,6 +964,43 @@ def test_degenerate_probe_falls_back_to_commutant_split(monkeypatch):
             got = structure.decompose_full(m, seed=0)
         assert calls
         _same_decomposition(m, want, got)
+
+
+def test_commutant_split_single_cluster_and_non_invariant_eigenspace(monkeypatch):
+    # A degenerate probe sends the whole carrier to split. A commutant basis
+    # of two copies of the identity gives an element with one eigenvalue
+    # cluster: the carrier stays whole and the report is heuristic. A basis
+    # holding the projector on the first frame vector splits off a line no
+    # leg keeps: NotFullSuspected.
+    m = families.random_module(3, "N", seed=1)
+    monkeypatch.setattr(structure, "_probe", lambda m, rng: (None, np.zeros((m.dim, m.dim), dtype=complex)))
+    eye = np.eye(3, dtype=complex) / np.sqrt(3)
+    monkeypatch.setattr(la, "commutation_kernel", lambda pairs, rtol: [eye, eye])
+    rep = structure.decompose_full(m, seed=0)
+    assert [s.dimension for s in rep.summands] == [3] and rep.confidence == "heuristic"
+    monkeypatch.setattr(la, "commutation_kernel", lambda pairs, rtol: [eye, np.diag([1.0, 0.0, 0.0]) + 0j])
+    with pytest.raises(NotFullSuspected, match="not leg-invariant"):
+        structure.decompose_full(m, seed=0)
+
+
+def test_lapack_failure_in_frame_is_no_convergence(monkeypatch, tmp_path, capsys):
+    # Two equal copies give probe clusters of size 2, whose edge blocks are
+    # turned by one batched SVD.
+    m = families.random_module(3, "N", seed=1)
+    path = tmp_path / "twice.json"
+    path.write_text(fileio.serialize_module(core.direct_sum(m, m)))
+    svd = np.linalg.svd
+
+    def fail_batched(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", fail_batched)
+    with pytest.raises(la.NoConvergence):
+        structure.decompose_full(core.direct_sum(m, m), seed=0)
+    assert cli.main(["decompose", str(path), "--seed", "0"]) == 1
+    assert capsys.readouterr().err.startswith("ERROR NoConvergence")
 
 
 def _noisy(m, eps, rng):

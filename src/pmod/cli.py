@@ -38,6 +38,10 @@ def _load_module(path: str, tol: float) -> core.PModule:
     return module
 
 
+def _load_pair(args) -> tuple[core.PModule, core.PModule]:
+    return _load_module(args.left, args.tol), _load_module(args.right, args.tol)
+
+
 def _cmd_validate(args) -> core.ValidationReport:
     # Parse without the identity gate: reporting the residual is the point.
     module, _ = fileio.parse_module_file(_read(args.module), tol=float("inf"))
@@ -45,15 +49,11 @@ def _cmd_validate(args) -> core.ValidationReport:
 
 
 def _cmd_fuse(args) -> core.PModule:
-    a = _load_module(args.left, args.tol)
-    b = _load_module(args.right, args.tol)
-    return core.boxtimes(a, b, args.tol)
+    return core.boxtimes(*_load_pair(args), args.tol)
 
 
 def _cmd_kfuse(args) -> core.PModule:
-    a = _load_module(args.left, args.tol)
-    b = _load_module(args.right, args.tol)
-    return core.kawamura_tensor(a, b)
+    return core.kawamura_tensor(*_load_pair(args))
 
 
 def _cmd_dual(args) -> core.PModule:
@@ -76,9 +76,7 @@ def _cmd_classify(args) -> structure.ClassifyReport:
 
 def _cmd_equiv(args) -> structure.EquivalenceResult:
     from . import structure
-    a = _load_module(args.left, args.tol)
-    b = _load_module(args.right, args.tol)
-    return structure.equivalent(a, b, args.tol, seed=args.seed)
+    return structure.equivalent(*_load_pair(args), args.tol, seed=args.seed)
 
 
 def _cmd_atomic(args) -> list:
@@ -97,9 +95,7 @@ def _cmd_gp_fuse(args) -> list:
 
 def _cmd_d2_fuse(args) -> families.D2FuseReport:
     from . import families
-    a = _load_module(args.left, args.tol)
-    b = _load_module(args.right, args.tol)
-    return families.d2_fuse(a, b, args.tol)
+    return families.d2_fuse(*_load_pair(args), args.tol)
 
 
 def _cmd_sample(args) -> tuple:
@@ -126,67 +122,42 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="report format"
     )
+    # Positionals of the one-file and the two-file commands, after --tol and --format.
+    one = argparse.ArgumentParser(add_help=False, parents=[common])
+    one.add_argument("module")
+    two = argparse.ArgumentParser(add_help=False, parents=[common])
+    two.add_argument("left")
+    two.add_argument("right")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="check the Pythagorean identity")
-    p.add_argument("module")
-    p.set_defaults(handler=_cmd_validate)
+    def command(name, parent, handler, summary):
+        p = sub.add_parser(name, parents=[parent], help=summary)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("fuse", parents=[common], help="fusion product of two module files")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(handler=_cmd_fuse)
-
-    p = sub.add_parser("kfuse", parents=[common], help="arity-multiplying Kawamura product")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(handler=_cmd_kfuse)
-
-    p = sub.add_parser("dual", parents=[common], help="coordinate dual module")
-    p.add_argument("module")
-    p.set_defaults(handler=_cmd_dual)
-
-    p = sub.add_parser("decompose", parents=[common], help="decompose a full module")
-    p.add_argument("module")
+    command("validate", one, _cmd_validate, "check the Pythagorean identity")
+    command("fuse", two, _cmd_fuse, "fusion product of two module files")
+    command("kfuse", two, _cmd_kfuse, "arity-multiplying Kawamura product")
+    command("dual", one, _cmd_dual, "coordinate dual module")
+    p = command("decompose", one, _cmd_decompose, "decompose a full module")
     p.add_argument("--seed", type=int, required=True, help="seed for the probe and the commutant split")
-    p.set_defaults(handler=_cmd_decompose)
-
-    p = sub.add_parser("classify", parents=[common], help="atomic/diffuse/residual split")
-    p.add_argument("module")
+    p = command("classify", one, _cmd_classify, "atomic/diffuse/residual split")
     p.add_argument("--max-word-len", type=int, default=None)
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("equiv", parents=[common], help="unitary equivalence test")
-    p.add_argument("left")
-    p.add_argument("right")
+    p = command("equiv", two, _cmd_equiv, "unitary equivalence test")
     p.add_argument("--seed", type=int, required=True, help="seed for the probe")
-    p.set_defaults(handler=_cmd_equiv)
-
-    p = sub.add_parser("atomic", parents=[common], help="atomic summands with labels")
-    p.add_argument("module")
+    p = command("atomic", one, _cmd_atomic, "atomic summands with labels")
     p.add_argument("--max-word-len", type=int, default=None)
-    p.set_defaults(handler=_cmd_atomic)
-
-    p = sub.add_parser("gp-fuse", parents=[common], help="closed-form GP fusion")
+    p = command("gp-fuse", common, _cmd_gp_fuse, "closed-form GP fusion")
     p.add_argument("--z", required=True, help="GP vector JSON [[ [re,im],[re,im] ], ...]")
     p.add_argument("--zt", required=True, help="second GP vector JSON")
-    p.set_defaults(handler=_cmd_gp_fuse)
-
-    p = sub.add_parser("d2-fuse", parents=[common], help="closed-form D2 fusion")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(handler=_cmd_d2_fuse)
-
-    p = sub.add_parser("sample", parents=[common], help="seeded class-M/N sampler")
+    command("d2-fuse", two, _cmd_d2_fuse, "closed-form D2 fusion")
+    p = command("sample", common, _cmd_sample, "seeded class-M/N sampler")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--class-tag", choices=("M", "N"), default="N")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--zeros", type=int, default=0, help="zero eigenvalues (class M only)")
-    p.set_defaults(handler=_cmd_sample)
-
-    p = sub.add_parser("prime-words", parents=[common], help="canonical prime binary words")
+    p = command("prime-words", common, _cmd_prime_words, "canonical prime binary words")
     p.add_argument("length", type=int)
-    p.set_defaults(handler=_cmd_prime_words)
     return parser
 
 

@@ -1,10 +1,11 @@
 """Constructors and closed-form fusion rules for the classified families.
 
-Atomic modules are partial cyclic shifts along a prime binary word twisted by
-a unit phase on the last basis vector. GP modules are weighted cyclic shifts
-driven by a list of unit-sphere pairs. D2 modules are the diagonal /
-anti-diagonal 2x2 family. Each family comes with its closed-form fusion rule;
-the generic product is cross-checked against these in the tests.
+GP modules are weighted cyclic shifts driven by a list of unit-sphere pairs.
+Atomic modules are their 0/1-weight case: partial cyclic shifts along a prime
+binary word, twisted by a unit phase on the last basis vector. D2 modules
+are the diagonal / anti-diagonal 2x2 family. Each family comes with its
+closed-form fusion rule; the generic product is cross-checked against these
+in the tests.
 """
 
 from __future__ import annotations
@@ -22,12 +23,18 @@ from .errors import NotD2Shape, NotInvertible, NotPrime, TooLarge
 _PHASE_TOL = 1e-6
 
 
+def _least_rotation(word) -> int:
+    """Start of the least rotation of a string or tuple (the first, on ties)."""
+    return min(range(len(word)), key=lambda k: word[k:] + word[:k])
+
+
 def canonical_rotation(word: str) -> str:
-    return min(word[k:] + word[:k] for k in range(len(word)))
+    k = _least_rotation(word)
+    return word[k:] + word[:k]
 
 
-def is_prime_word(word: str) -> bool:
-    """True when the word is not a power of a strictly shorter word."""
+def is_prime_word(word) -> bool:
+    """True when the word (a string or tuple) is not a power of a strictly shorter word."""
     n = len(word)
     if n == 0:
         return False
@@ -103,18 +110,21 @@ class AtomicLabel:
         object.__setattr__(self, "phase", complex(self.phase))
 
 
+def _weighted_shift(weights) -> core.PModule:
+    """Legs e_k -> a_k e_{k+1} and e_k -> b_k e_{k+1} (indices mod d) for weights (a_k, b_k)."""
+    d = len(weights)
+    legs = np.zeros((2, d, d), dtype=np.complex128)
+    k = np.arange(d)
+    legs[:, (k + 1) % d, k] = np.array(weights, dtype=np.complex128).T
+    return core.PModule(legs=tuple(legs))
+
+
 def atomic_module(label: AtomicLabel) -> core.PModule:
-    """Partial-shift module: digit-0 positions shift under the first leg,
-    digit-1 positions under the second, with the phase on the wrap-around."""
-    word = label.word
-    d = len(word)
-    a = np.zeros((d, d), dtype=np.complex128)
-    b = np.zeros((d, d), dtype=np.complex128)
-    for k, digit in enumerate(word):
-        weight = label.phase if k == d - 1 else 1.0
-        target = a if digit == "0" else b
-        target[(k + 1) % d, k] = weight
-    return core.PModule(legs=(a, b))
+    """Partial shift: the weighted shift with weights (1, 0) at digit 0 and
+    (0, 1) at digit 1, the phase on the last position's nonzero weight."""
+    weights = [(1.0, 0.0) if digit == "0" else (0.0, 1.0) for digit in label.word]
+    weights[-1] = tuple(label.phase if w else w for w in weights[-1])
+    return _weighted_shift(weights)
 
 
 @dataclass(frozen=True)
@@ -150,13 +160,7 @@ class GPVector:
 
 def gp_module(z: GPVector) -> core.PModule:
     """Weighted cyclic shift: first leg e_i -> a_i e_{i+1}, second e_i -> b_i e_{i+1}."""
-    d = len(z)
-    a = np.zeros((d, d), dtype=np.complex128)
-    b = np.zeros((d, d), dtype=np.complex128)
-    for i, (ai, bi) in enumerate(z.entries):
-        a[(i + 1) % d, i] = ai
-        b[(i + 1) % d, i] = bi
-    return core.PModule(legs=(a, b))
+    return _weighted_shift(z.entries)
 
 
 def _entry_key(entry):
@@ -171,17 +175,9 @@ def _entry_key(entry):
 
 def gp_canonical(z: GPVector) -> tuple[GPVector, bool]:
     """(least rotation under the entrywise total order, aperiodic flag)."""
-    d = len(z)
-    rots = [tuple(z.entries[(k + i) % d] for i in range(d)) for k in range(d)]
-    best = min(rots, key=lambda tup: [_entry_key(e) for e in tup])
-    aperiodic = True
-    for p in range(1, d):
-        if d % p == 0 and all(
-            _entry_key(z.entries[i]) == _entry_key(z.entries[i % p]) for i in range(d)
-        ):
-            aperiodic = False
-            break
-    return GPVector(entries=best), aperiodic
+    keys = tuple(map(_entry_key, z.entries))
+    k = _least_rotation(keys)
+    return GPVector(entries=z.entries[k:] + z.entries[:k]), is_prime_word(keys)
 
 
 def gp_fuse(z: GPVector, zt: GPVector) -> list[GPVector]:
@@ -219,10 +215,7 @@ def atomic_diffuse_fuse(
     per eigenvalue, with multiplicity, sorted by phase angle.
     """
     pa, pb = core._invertible_polars(m_d, "atomic_diffuse_fuse", rtol)
-    va, vb = pa.unitary, pb.unitary
-    v = np.eye(m_d.dim, dtype=np.complex128)
-    for digit in label.word:
-        v = (va if digit == "0" else vb) @ v
+    v = core.word_operator(core.PModule._trusted((pa.unitary, pb.unitary)), label.word)
     phases, _ = la.unitary_eig(v)
     labels = [AtomicLabel(word=label.word, phase=phi * label.phase) for phi in phases]
     return sorted(labels, key=lambda lb: (np.angle(lb.phase), lb.phase.real))

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import core
-from .errors import ParseError, PythagoreanViolation, ShapeError, ShapeMismatch
+from .errors import ParseError, PythagoreanViolation, ShapeError
 
 if TYPE_CHECKING:
     from . import families, structure
@@ -151,10 +151,8 @@ def parse_module_file(text: str, tol: float = PARSE_TOL) -> tuple[core.PModule, 
     metadata = obj.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ShapeError("metadata: expected an object")
-    try:
-        module = core.PModule(legs=tuple(parsed))
-    except ShapeMismatch as exc:
-        raise ShapeError(str(exc)) from exc
+    # Every check PModule makes (two or more square, equal, finite legs) has passed above.
+    module = core.PModule(legs=tuple(parsed))
     report = core.validate(module, tol)
     if not report.passed:
         raise PythagoreanViolation(

@@ -185,8 +185,11 @@ def atomic_part(
     nothing. Legs that decay (``_decays``) hold no atom: nothing is walked.
     """
     core._require_arity2(m, "atomic_part")
-    if _decays(m, rtol):
-        return []
+    return [] if _decays(m, rtol) else _atomic_walk(m, max_len, rtol)
+
+
+def _atomic_walk(m: core.PModule, max_len: int | None, rtol: float) -> list[AtomicSummand]:
+    """atomic_part past its decay test, for two-leg callers that ran it."""
     d = m.dim
     depth = d if max_len is None else min(max_len, d)
     claimed = np.zeros((d, 0), dtype=np.complex128)
@@ -348,7 +351,7 @@ def classify_parts(
     core._require_arity2(m, "classify_parts")
     class_m = core.in_class_m(m, rtol)
     decays = class_m and _decays(m, rtol)
-    atoms = [] if decays else atomic_part(m, max_len, rtol)
+    atoms = [] if decays else (_atomic_walk if class_m else atomic_part)(m, max_len, rtol)
     comp = (CompletePart(np.eye(m.dim, dtype=np.complex128), m.dim, "certified") if class_m
             else _completion(m, atoms))
     v = comp.isometry
@@ -563,7 +566,7 @@ def decompose_full(
         k = q.shape[1]
         tag, label = "unknown", None
         decays = _decays(sub, rtol)
-        atoms = atomic_part(sub, rtol=rtol) if sub.arity == 2 and not decays else []
+        atoms = _atomic_walk(sub, None, rtol) if sub.arity == 2 and not decays else []
         if atoms and sum(s.isometry.shape[1] for s in atoms) == k:
             tag = "atomic"
             if len(atoms) == 1:

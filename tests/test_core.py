@@ -15,6 +15,7 @@ from pmod.errors import (
     ArityUnsupported,
     KernelOverlap,
     NotD2Shape,
+    NotIntertwiner,
     NotInvertible,
     NotPositive,
     OnUnitAxis,
@@ -480,6 +481,15 @@ def test_duality_check_report():
         assert rep.coev_residual <= 1e-9
         dd = core.dual_module(core.dual_module(m))
         assert structure.equivalent(dd, m).verdict is True
+
+
+def test_duality_check_refuses_legs_off_the_identity():
+    # PModule does not check the identity; for legs far from it no scalar
+    # makes ev an intertwiner.
+    rng = np.random.default_rng(0)
+    a, b = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2))
+    with pytest.raises(NotIntertwiner, match="no scalar makes ev an intertwiner"):
+        core.duality_check(core.PModule(legs=(a, b)))
 
 
 def test_duality_check_at_d48_stays_quadratic_in_memory():

@@ -534,6 +534,19 @@ def test_reduced_commutation_kernel_falls_back_in_grey_zone(monkeypatch):
     assert all(np.array_equal(x, y) for x, y in zip(basis, want))
 
 
+def test_reduced_commutation_kernel_defers_when_the_drift_reaches_half_a_gap(monkeypatch):
+    # At tau 0.3 the spectral drift ||c|| tau of N(2)'s star commutant is at
+    # least half the smallest excluded gap (delta >= 1/2): the reduced route
+    # defers before sizing its block against the cap.
+    m = families.random_module(2, seed=0)
+    sized = []
+    within_cap = la._within_cap
+    monkeypatch.setattr(la, "_within_cap", lambda *a: sized.append(1) or within_cap(*a))
+    assert la._reduced_kernel(_star_pairs(m, m), 0.3) is None
+    assert sized == []
+    assert la._reduced_kernel(_star_pairs(m, m), 0.03) is not None and sized == [1]
+
+
 def test_reduced_commutation_kernel_needs_no_fold_on_clean_input(monkeypatch):
     folds = []
     fold = la._fold_kernel

@@ -812,6 +812,72 @@ def test_minimal_invariant_quotient_eigenvalue_splits_by_adjoint_spin(monkeypatc
     assert [f for f in firsts if f[1] == 3] == [[3, 3, 1]]
 
 
+def test_minimal_invariant_returns_the_closure_when_lapack_fails(monkeypatch):
+    # 01 + 0 is reducible: Norton's test splits the closure of the all-ones
+    # seed, unless the eigenvalue call fails, which ends the search there.
+    m = core.direct_sum(families.atomic_module(families.AtomicLabel("01", 1j)),
+                        families.atomic_module(families.AtomicLabel("0", -1.0)))
+    assert structure._minimal_invariant_from(m, np.ones(3)).shape[1] < 3
+
+    def fail(x):
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    q = structure._minimal_invariant_from(m, np.ones(3))
+    assert np.linalg.norm(q @ q.conj().T - np.eye(3)) < 1e-12
+
+
+def test_minimal_invariant_stops_after_three_undecided_draws(monkeypatch):
+    # A zero combination theta leaves every singular value at 0: the kernel
+    # is not one-dimensional and both spins fill the irreducible W = C^3, so
+    # no draw decides and W is returned after the third.
+    m = families.atomic_module(families.AtomicLabel("011", 1j))
+    draws = []
+
+    class Zeros:
+        def standard_normal(self, n):
+            draws.append(n)
+            return np.zeros(n)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Zeros())
+    q = structure._minimal_invariant_from(m, np.eye(3)[:, 0])
+    assert draws == [3, 3, 3] and q.shape[1] == 3
+
+
+def test_completion_adds_the_remainder_when_a_piece_falls_inside(monkeypatch):
+    # A minimal piece inside the accepted span (only rounding can put it
+    # there) stalls the loop: the remainder is added whole and the result
+    # is heuristic.
+    m = core.direct_sum(families.atomic_module(families.AtomicLabel("01", 1j)),
+                        families.random_module(3, "N", seed=1))
+    atoms = structure.atomic_part(m)
+    comp = structure._completion(m, atoms)
+    assert (comp.p_dimension, comp.confidence) == (5, "certified")
+    monkeypatch.setattr(structure, "_minimal_invariant_from", lambda m, seed: atoms[0].isometry)
+    comp = structure._completion(m, atoms)
+    assert (comp.p_dimension, comp.confidence) == (5, "heuristic")
+
+
+def test_atomic_walk_skips_claimed_and_rejected_carriers(monkeypatch):
+    # An eigenvector whose carrier is already claimed adds nothing; a carrier
+    # of the wrong rank or off the leg-invariance gate is dropped.
+    m = families.atomic_module(families.AtomicLabel("01", 1j))
+    want = [(s.label.word, s.label.phase) for s in structure.atomic_part(m)]
+    assert want == [("01", 1j)]
+    eig, gram_schmidt = la.unitary_eig, la.gram_schmidt
+    with monkeypatch.context() as mp:
+        mp.setattr(la, "unitary_eig", lambda v: tuple(np.concatenate([x, x], axis=-1) for x in eig(v)))
+        assert [(s.label.word, s.label.phase) for s in structure.atomic_part(m)] == want
+    with monkeypatch.context() as mp:
+        mp.setattr(la, "gram_schmidt",
+                   lambda v, against=None: gram_schmidt(v, against)[:, :1] if against is None
+                   else gram_schmidt(v, against))
+        assert structure.atomic_part(m) == []
+    with monkeypatch.context() as mp:
+        mp.setattr(structure, "_INV_TOL", -1.0)
+        assert structure.atomic_part(m) == []
+
+
 def _count_lapack_calls(monkeypatch):
     """Operand shapes of the calls that go through la._lapack."""
     calls = []

@@ -36,7 +36,8 @@ _NORMALITY_GATE = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class PModule:
-    """Tuple of n >= 2 equal-size square legs, checked on entry unless built by _trusted."""
+    """Tuple of n >= 2 equal-size square legs of dimension >= 1, checked on
+    entry unless built by _trusted."""
 
     legs: tuple[np.ndarray, ...]
 
@@ -51,6 +52,8 @@ class PModule:
                 raise ShapeMismatch(f"leg {k} is not square: {m.shape}")
             if dim is None:
                 dim = m.shape[0]
+                if not dim:
+                    raise ShapeMismatch("legs must have dimension at least 1")
             elif m.shape[0] != dim:
                 raise ShapeMismatch(
                     f"leg {k} has dimension {m.shape[0]}, expected {dim}"
@@ -109,8 +112,8 @@ def _require_arity2(m: PModule, op: str) -> None:
 
 
 def _invertible_polars(m: PModule, op: str, rtol: float) -> tuple[la.PolarPair, la.PolarPair]:
-    """polar of both legs of a two-leg module; NotInvertible unless each
-    leg's singular values, as polar returns them, pass la._invertible."""
+    """polar of both legs of a two-leg module, one SVD each; NotInvertible
+    unless each leg's singular values, as polar returns them, pass la._invertible."""
     _require_arity2(m, op)
     pa, pb = la.polar(m.A, rtol), la.polar(m.B, rtol)
     for name, s in (("A", pa.singular_values), ("B", pb.singular_values)):
@@ -254,8 +257,8 @@ def direct_sum(m: PModule, mt: PModule) -> PModule:
 def dual_module(m: PModule, rtol: float = la.DEFAULT_RTOL) -> PModule:
     """Coordinate dual (conj(U_A)|B|-bar, conj(U_B)|A|-bar) of an invertible-leg module.
 
-    The bar is entrywise complex conjugation. Each leg takes one eigensolve:
-    polar gives |A| and |B|, and its singular values gate invertibility
+    The bar is entrywise complex conjugation. Each leg takes one SVD: polar
+    gives |A| and |B|, and its singular values gate invertibility
     (NotInvertible otherwise), which makes the polar factors unique.
     """
     pa, pb = _invertible_polars(m, "dual_module", rtol)

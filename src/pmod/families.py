@@ -142,7 +142,7 @@ class GPVector:
         if not self.entries:
             raise ValueError("a GP vector needs at least one entry")
         defect = self.sphere_defect()
-        if defect > 1e-6:
+        if not defect <= 1e-6:
             raise ValueError(
                 f"GP entries must satisfy |a|^2 + |b|^2 = 1 (defect {defect:.3e})"
             )

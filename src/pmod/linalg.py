@@ -16,8 +16,8 @@ eig_general refuse non-finite operands (as_matrix: ShapeMismatch); hermitian_eig
 also refuses non-square and non-Hermitian ones. Operands exactly Hermitian
 as built (entry (i, j) and the conjugate of (j, i) are the same rounded
 sums) skip that gate, which could not fire, for its solver ``_eigh`` (finite
-entries only): gram(m) in polar and core's fusion factors, structure's probe
-x + x* and split element (y + y*) / 2, unitary_eig's parts (v + v*) / 2 and
+entries only): gram(m) in core's fusion factors, structure's probe x + x*
+and split element (y + y*) / 2, unitary_eig's parts (v + v*) / 2 and
 (v - v*) / 2i, and the blocks commuting_hermitian_eig symmetrizes.
 
 All rank and kernel decisions are relative to the largest singular value of
@@ -44,12 +44,11 @@ DEFAULT_RTOL = 1e-9
 # Residual threshold for accepting a Gram-Schmidt direction as new.
 _GS_KEEP = 1e-6
 
-# Relative floor of the invertibility and polar rank gates. polar decides
-# rank on the eigenvalues of m* m (on an SVD only when m is ill-conditioned),
-# which square the singular values, so true zeros resurface there at
-# ~sqrt(machine eps). _invertible applies the same floor to the singular
-# values, from a full SVD (is_invertible) or polar's own (dual_module,
-# atomic_diffuse_fuse): an invertible leg is full rank to polar.
+# Relative floor of the invertibility and polar rank gates, on singular
+# values: polar keeps a direction whose singular value is above the floor
+# times the largest, and _invertible asks the smallest to clear it, from a
+# full SVD (is_invertible) or polar's own (dual_module, atomic_diffuse_fuse),
+# so an invertible leg is full rank to polar.
 _GRAM_FLOOR = 5e-8
 
 # pmod's one allocation cap, in bytes: the largest working set a commutant
@@ -58,11 +57,6 @@ _GRAM_FLOOR = 5e-8
 # families.prime_words builds. Plain intertwiners of a carrier-64 module
 # (0.54 GB) fit; above the cap TooLarge is raised before allocating.
 _SOLVE_CAP = 2**30
-
-# polar's switch from the eigensolve of m* m to an SVD of m: below this ratio
-# of smallest kept to largest singular value, eps * (smax / smin)^2 would show
-# in the unitary factor (about 2e-10 at the ratio itself).
-_POLAR_SVD = 1e-3
 
 
 def _lapack(routine, *args, **kwargs):
@@ -114,7 +108,7 @@ class HermEig:
 
 @dataclass(frozen=True, eq=False)
 class PolarPair:
-    """Polar factors M = unitary @ positive, and M's singular values ascending."""
+    """Polar factors M = unitary @ positive from one SVD, and M's singular values ascending."""
 
     unitary: np.ndarray
     positive: np.ndarray
@@ -309,43 +303,29 @@ def is_invertible(m: np.ndarray, rtol: float = DEFAULT_RTOL) -> bool:
 def polar(m: np.ndarray, rtol: float = DEFAULT_RTOL) -> PolarPair:
     """Polar decomposition m = U P with U unitary and P = sqrt(m* m).
 
-    On the kernel of P the unitary factor is fixed by matching deterministic
-    Gram-Schmidt bases of ker|m| and ker|m*| in ascending standard-basis
-    order; with that convention the output is unique and reproducible. Total
-    on square matrices. The factors come from one eigensolve of m* m, whose
-    clipped eigenvalues' square roots are the singular values returned, so
-    callers need no SVD of m to gate it. That route leaves U off unitary by
-    about eps * (smax / smin)^2, so when the smallest kept singular value is
-    below _POLAR_SVD * smax, the factors and singular values come from an
-    SVD of m instead.
+    One SVD m = W diag(sigma) V* gives both factors: P = V diag(sigma) V*,
+    and U = W V* over the singular values above max(rtol, _GRAM_FLOOR) times
+    the largest. On the kernel of P the unitary factor is fixed by matching
+    deterministic Gram-Schmidt bases of ker|m| and ker|m*| in ascending
+    standard-basis order; with that convention the output is unique and
+    reproducible. Total on square matrices. The singular values are returned
+    ascending, so callers need no second SVD to gate it.
     """
     m = as_matrix(m)
     n = _check_square(m)
-    eig = _eigh(gram(m))
-    sigma, vectors = np.sqrt(np.clip(eig.values, 0.0, None)), eig.vectors
-    smax = float(sigma[-1]) if n else 0.0
-    keep, left = sigma > max(rtol, _GRAM_FLOOR) * smax, None
-    if keep.any() and sigma[keep][0] < _POLAR_SVD * smax:
-        left, sigma, vh = thin_svd(m)
-        left, sigma, vectors = left[:, ::-1], sigma[::-1], dagger(vh)[:, ::-1]
-        smax = float(sigma[-1])
-        keep = sigma > max(rtol, _GRAM_FLOOR) * smax
+    left, sigma, vh = thin_svd(m)
+    left, sigma, vectors = left[:, ::-1], sigma[::-1], dagger(vh)[:, ::-1]
+    keep = sigma > max(rtol, _GRAM_FLOOR) * sigma.max(initial=0.0)
     positive = (vectors * sigma) @ dagger(vectors)
     positive = (positive + dagger(positive)) / 2.0
-    if smax == 0.0:
-        return PolarPair(np.eye(n, dtype=np.complex128), positive, sigma)
-    qr = vectors[:, keep]
-    # Columns of w are the left singular vectors over the co-kernel.
-    w = m @ (qr / sigma[keep]) if left is None else left[:, keep]
+    qr, w = vectors[:, keep], left[:, keep]
     u = w @ dagger(qr)
     if keep.all():
         return PolarPair(u, positive, sigma)
     k1 = complete_basis(qr, n)  # ker |m|
-    k2 = complete_basis(gram_schmidt(w), n)  # ker |m*|
+    k2 = complete_basis(w, n)  # ker |m*|
     r = min(k1.shape[1], k2.shape[1])
-    if r:
-        u = u + k2[:, :r] @ dagger(k1[:, :r])
-    return PolarPair(u, positive, sigma)
+    return PolarPair(u + k2[:, :r] @ dagger(k1[:, :r]), positive, sigma)
 
 
 def commutation_kernel(

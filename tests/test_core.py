@@ -416,12 +416,13 @@ def test_dual_gate_agrees_with_is_invertible(d, factor):
                 core.dual_module(m)
 
 
-@pytest.mark.parametrize("ratio", [1e-7, 5e-7, 5e-6])
+@pytest.mark.parametrize("ratio", [1e-7, 5e-7, 5e-6, 2e-3, 1e-2])
 def test_ill_conditioned_leg_keeps_polar_unitary(ratio):
     # A leg with smallest / largest singular value `ratio` passes the
-    # invertibility gate. The eigensolve of A* A alone left polar's unitary off
-    # by about eps / ratio^2: dual_module returned a module failing the identity
-    # and atomic_diffuse_fuse raised an untyped ValueError on a phase.
+    # invertibility gate. An eigensolve of A* A leaves polar's unitary off by
+    # about eps / ratio^2 (2e-11 at ratio 2e-3): dual_module returned a module
+    # failing the identity and atomic_diffuse_fuse raised an untyped
+    # ValueError on a phase.
     rng = np.random.default_rng(1504)
     d = 4
     s = 0.8 * np.concatenate([[ratio], np.linspace(0.5, 1.0, d - 1)])
@@ -449,13 +450,16 @@ def test_products_refuse_legs_that_overflow():
 
 
 def test_legs_whose_gram_matrix_overflows_are_refused():
-    # The Gram matrices go to hermitian_eig's solver, past its Hermiticity
-    # gate, which still refuses their non-finite entries.
+    # The fusion factors' Gram matrices go to hermitian_eig's solver, past its
+    # Hermiticity gate, which still refuses their non-finite entries. The dual
+    # takes the polar factors from an SVD of each leg and is exact.
     m = core.PModule(legs=(1e200 * np.eye(2), 0.5 * np.eye(2)))
     with np.errstate(over="ignore", invalid="ignore"):
-        for op in (core.dual_module, lambda m: core.boxtimes(m, m)):
-            with pytest.raises(ShapeMismatch, match="finite"):
-                op(m)
+        with pytest.raises(ShapeMismatch, match="finite"):
+            core.boxtimes(m, m)
+    dual = core.dual_module(m)
+    assert np.array_equal(dual.A, 0.5 * np.eye(2))
+    assert np.array_equal(dual.B, 1e200 * np.eye(2))
 
 
 def test_dual_double_dual_entrywise():
@@ -513,18 +517,18 @@ def test_duality_zigzag_unit_is_zero():
 
 
 def test_dual_positive_parts_are_the_polar_factors():
-    # The legs are bit-identical to the formula with |A| and |B| from psd_funcalc.
+    # The legs are bit-identical to the formula with the polar factors, and
+    # |A| and |B| agree with psd_funcalc's square roots of A* A and B* B.
     for d in (1, 2, 5, 8, 16):
         for seed in range(3):
             m = families.random_module(d, "N", seed=1100 + 10 * d + seed)
-            abs_a = la.psd_funcalc(la.dagger(m.A) @ m.A, "sqrt")
-            abs_b = la.psd_funcalc(la.dagger(m.B) @ m.B, "sqrt")
-            want = (
-                np.conj(la.polar(m.A).unitary @ abs_b),
-                np.conj(la.polar(m.B).unitary @ abs_a),
-            )
+            pa, pb = la.polar(m.A), la.polar(m.B)
+            want = (np.conj(pa.unitary @ pb.positive), np.conj(pb.unitary @ pa.positive))
             got = core.dual_module(m)
             assert all(np.array_equal(x, y) for x, y in zip(got.legs, want))
+            for leg, pair in ((m.A, pa), (m.B, pb)):
+                root = la.psd_funcalc(la.dagger(leg) @ leg, "sqrt")
+                assert np.abs(pair.positive - root).max() <= 1e-14
 
 
 def _dense_duality(m):
@@ -726,6 +730,8 @@ _ERROR_CASES = {
     ),
     "gp_vector-empty": (lambda: families.GPVector(entries=()), ValueError),
     "gp_vector-off-sphere": (lambda: families.GPVector(entries=((1.0, 1.0),)), ValueError),
+    "gp_vector-nan": (lambda: families.GPVector(entries=((np.nan, 0.0),)), ValueError),
+    "pmodule-dim0": (lambda: core.PModule(legs=(np.zeros((0, 0)),) * 2), ShapeMismatch),
     "random_module-all-zero": (
         lambda: families.random_module(3, "M", zero_eigenvalues=3), ValueError
     ),

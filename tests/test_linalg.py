@@ -73,17 +73,19 @@ def test_eig_rejects_non_hermitian():
 
 
 def test_gates_hold_where_internal_callers_skip_them():
-    # polar, the fusion factors and the probe pass exactly Hermitian operands
-    # to hermitian_eig's solver; the public routine keeps its gates, and a
-    # Gram matrix that overflows is still refused.
+    # The fusion factors and the probe pass exactly Hermitian operands to
+    # hermitian_eig's solver; the public routine keeps its gates. polar
+    # refuses non-finite operands, and from its SVD of m it is exact where
+    # m* m would overflow.
     with pytest.raises(NotHermitian):
         la.hermitian_eig(np.array([[1, 2], [0, 1]], dtype=complex))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for bad in (np.array([[1, 0], [0, np.nan]]), np.array([[np.inf, 0], [0, 1]])):
+    for bad in (np.array([[1, 0], [0, np.nan]]), np.array([[np.inf, 0], [0, 1]])):
+        for routine in (la.hermitian_eig, la.polar):
             with pytest.raises(ShapeMismatch, match="finite"):
-                la.hermitian_eig(bad)
-        with pytest.raises(ShapeMismatch, match="finite"):
-            la.polar(1e200 * np.eye(2))
+                routine(bad)
+    pair = la.polar(1e200 * np.eye(2))
+    assert np.array_equal(pair.unitary, np.eye(2))
+    assert np.array_equal(pair.positive, 1e200 * np.eye(2))
 
 
 def test_eig_refuses_an_operand_whose_symmetrization_overflows():
@@ -144,17 +146,18 @@ def test_polar_examples():
 
 
 def test_polar_returns_its_singular_values():
-    # Ascending square roots of the clipped eigenvalues of m* m, on the three
-    # return routes: invertible, singular, zero.
+    # LAPACK's singular values of m, ascending, on an invertible, a singular
+    # and a zero operand.
     rng = np.random.default_rng(210)
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     singular = m.copy()
     singular[:, 0] = 0
     for x in (m, singular, np.zeros((3, 3), dtype=complex)):
         pair = la.polar(x)
-        want = np.sqrt(np.clip(la.hermitian_eig(la.dagger(x) @ x).values, 0.0, None))
+        want = np.linalg.svd(x, full_matrices=False)[1][::-1]
         assert np.array_equal(pair.singular_values, want)
-        assert np.allclose(pair.singular_values, np.linalg.svd(x, compute_uv=False)[::-1], atol=1e-7)
+        assert np.allclose(pair.singular_values, np.linalg.svd(x, compute_uv=False)[::-1],
+                           rtol=0, atol=1e-14 * max(np.linalg.norm(x), 1.0))
     # The field is trailing and defaulted: the two factors alone still build a pair.
     pair = la.PolarPair(np.eye(2), np.eye(2))
     assert pair.singular_values is None
@@ -174,6 +177,27 @@ def test_polar_reconstruction_seeded(n):
         assert np.linalg.norm(pair.unitary.conj().T @ pair.unitary - np.eye(n)) <= 1e-10
         vals = np.linalg.eigvalsh(pair.positive)
         assert vals.min() > -1e-12
+
+
+@pytest.mark.parametrize("d", [4, 6])
+def test_polar_completion_on_rank_deficient_legs(d):
+    # Ranks 1 to 3: U is unitary, UP = m, and U carries the completion of
+    # ran P onto the completion of ran m, both built by complete_basis from
+    # independently computed ranges.
+    rng = np.random.default_rng(220 + d)
+    for rank in (1, 2, 3):
+        x, y = (rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+                for _ in range(2))
+        m = x @ y.conj().T
+        pair = la.polar(m)
+        u = pair.unitary
+        assert np.linalg.norm(u @ u.conj().T - np.eye(d)) <= 1e-13
+        assert np.linalg.norm(u @ pair.positive - m) <= 1e-13 * np.linalg.norm(m)
+        ran_p = np.linalg.svd(pair.positive)[0][:, :rank]
+        ran_m = np.linalg.svd(m)[0][:, :rank]
+        k1, k2 = la.complete_basis(ran_p, d), la.complete_basis(ran_m, d)
+        assert k1.shape == k2.shape == (d, d - rank)
+        assert np.linalg.norm(u @ k1 - k2) <= 1e-12
 
 
 def test_kron_convention_and_mixed_product():
@@ -282,9 +306,12 @@ def test_lapack_failure_maps_to_no_convergence(monkeypatch):
     with pytest.raises(NoConvergence):
         la.hermitian_eig(m)
     with pytest.raises(NoConvergence):
-        la.polar(m)
-    with pytest.raises(NoConvergence):
         la.eig_general(m)
+    # polar's one LAPACK call is an SVD.
+    assert np.array_equal(la.polar(m).unitary, m)
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(NoConvergence):
+        la.polar(m)
 
 
 def test_commutation_kernel_examples_and_residual():

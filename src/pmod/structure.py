@@ -69,7 +69,7 @@ def largest_invariant_in(m: core.PModule, q: np.ndarray) -> np.ndarray:
 
     X inside span(q) is leg-invariant iff X^perp, which holds span(q)^perp,
     is invariant under the adjoints; so X is the orthocomplement of the
-    spin of span(q)^perp under the adjoint legs.
+    adjoint spin of span(q)^perp (``_completion`` spins its kept candidate).
     """
     outside = la.complete_basis(q, m.dim)
     adjoints = [la.dagger(leg) for leg in m.legs]
@@ -262,9 +262,9 @@ def complete_submodule(
     full, so the whole carrier is returned directly. Otherwise the candidate
     starts from the atomic carriers and is forced to completeness
     (``_completion``): while the orthocomplement holds an invariant subspace
-    (``largest_invariant_in``, the complement of the candidate's adjoint
-    spin), the minimal invariant subspace Norton's test finds in the closure
-    of its first basis vector is added. The final state satisfies the
+    (the complement of the candidate's spin under the adjoint legs), the
+    minimal invariant subspace Norton's test finds in the closure of its
+    first basis vector is added. The final state satisfies the
     completeness certificate at the spin cut; "certified" also requires the
     smallest-candidate evidence (class shortcut, whole carrier, or all pieces
     one-dimensional) and no remainder added whole because its minimal piece
@@ -277,7 +277,7 @@ def complete_submodule(
 
 
 def _completion(m: core.PModule, atoms: list[AtomicSummand]) -> CompletePart:
-    """complete_submodule's forced completion of the atomic carriers."""
+    """complete_submodule's forced completion of the atomic carriers; each round spins v."""
     d = m.dim
     # Atomic carriers are exact; every other piece must be one-dimensional
     # for the final candidate to count as certified smallest.
@@ -286,12 +286,10 @@ def _completion(m: core.PModule, atoms: list[AtomicSummand]) -> CompletePart:
     v = la.gram_schmidt(np.hstack([np.zeros((d, 0))] + [s.isometry for s in atoms]))
 
     # Forced completion: the certificate drives the loop.
+    adjoints = [la.dagger(leg) for leg in m.legs]
     stalled = False
-    while True:
-        comp = la.complete_basis(v, d)
-        if comp.shape[1] == 0:
-            break
-        rem = largest_invariant_in(m, comp)
+    while v.shape[1] < d:
+        rem = la.complete_basis(_spin(adjoints, v), d)
         if rem.shape[1] == 0:
             break
         piece = _minimal_invariant_from(m, rem[:, 0])

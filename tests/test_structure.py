@@ -662,15 +662,33 @@ def test_forced_completion_ends_within_d_rounds(monkeypatch):
     rep = structure.classify_parts(clean)
     assert sorted(s.label.word for s in rep.atomic) == ["00101", "0111", "1"]
     assert rep.confidence == "certified"
-    calls = []
-    largest = structure.largest_invariant_in
+    calls = []  # one Norton search per completion round
+    minimal = structure._minimal_invariant_from
     monkeypatch.setattr(
-        structure, "largest_invariant_in", lambda *a, **k: calls.append(1) or largest(*a, **k)
+        structure, "_minimal_invariant_from", lambda *a, **k: calls.append(1) or minimal(*a, **k)
     )
     rep = structure.classify_parts(noisy)
-    assert len(calls) <= noisy.dim + 1
+    assert 0 < len(calls) <= noisy.dim + 1
     assert rep.p_dimension + rep.residual_dim == noisy.dim
     assert rep.confidence == "heuristic"
+
+
+def test_completion_round_takes_one_complement(monkeypatch):
+    # Two 01 atoms plus N(3), conjugated: one completion round adds the
+    # diffuse part. The round spins the kept candidate under the adjoint legs
+    # and completes that spin once; the candidate itself is never completed.
+    atom = families.atomic_module(families.AtomicLabel("01", np.exp(0.7j)))
+    m = core.direct_sum(core.direct_sum(atom, atom), families.random_module(3, seed=5))
+    m = core.conjugate(m, random_unitary(np.random.default_rng(7), m.dim))
+    calls = []
+    for home, name in ((structure, "largest_invariant_in"), (la, "complete_basis")):
+        f = getattr(home, name)
+        monkeypatch.setattr(home, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
+    rep = structure.classify_parts(m)
+    assert (rep.atomic_dim, rep.diffuse_dim, rep.residual_dim) == (4, 3, 0)
+    assert rep.confidence == "certified"
+    assert calls.count("largest_invariant_in") == 0
+    assert calls.count("complete_basis") <= 2
 
 
 def _coupled_residual_column():

@@ -405,11 +405,10 @@ def _reduced_kernel(pairs, tau: float) -> list[np.ndarray] | None:
     half = len(pairs) // 2
     rng = np.random.default_rng(0)
     c = rng.standard_normal(half) + 1j * rng.standard_normal(half)
-    same = all(mk is nk for mk, nk in pairs[:half])  # End solves: both sides share one eigh
     hm = sum(ck * mk for ck, (mk, _) in zip(c, pairs))
-    hn = hm if same else sum(ck * nk for ck, (_, nk) in zip(c, pairs))
+    hn = sum(ck * nk for ck, (_, nk) in zip(c, pairs))
     lam_m, vm = _lapack(np.linalg.eigh, hm + dagger(hm))
-    lam_n, vn = (lam_m, vm) if same else _lapack(np.linalg.eigh, hn + dagger(hn))
+    lam_n, vn = _lapack(np.linalg.eigh, hn + dagger(hn))
     gaps = np.abs(lam_n[None, :] - lam_m[:, None])
     c_norm = np.sqrt(2.0) * np.linalg.norm(c)
     # Support threshold: the geometric mean of the kernel's spectral drift

@@ -65,15 +65,15 @@ def _invariance_defect(m: core.PModule, q: np.ndarray) -> float:
 
 
 def largest_invariant_in(m: core.PModule, q: np.ndarray) -> np.ndarray:
-    """Largest leg-invariant subspace contained in span(q) (orthonormal basis).
+    """Largest leg-invariant subspace contained in span(q) (orthonormal basis)."""
+    return _invariant_outside([la.dagger(leg) for leg in m.legs], la.complete_basis(q, m.dim))
 
-    X inside span(q) is leg-invariant iff X^perp, which holds span(q)^perp,
-    is invariant under the adjoints; so X is the orthocomplement of the
-    adjoint spin of span(q)^perp (``_completion`` spins its kept candidate).
-    """
-    outside = la.complete_basis(q, m.dim)
-    adjoints = [la.dagger(leg) for leg in m.legs]
-    return la.complete_basis(_spin(adjoints, outside), m.dim)
+
+def _invariant_outside(adjoints, v: np.ndarray) -> np.ndarray:
+    """Largest leg-invariant subspace of span(v)^perp, v orthonormal. X there
+    is leg-invariant iff X^perp, which holds span(v), is adjoint-invariant; so
+    X is the orthocomplement of the spin of span(v) under the adjoint legs."""
+    return la.complete_basis(_spin(adjoints, v), v.shape[0])
 
 
 def _spin(ops, start: np.ndarray) -> np.ndarray:
@@ -277,7 +277,8 @@ def complete_submodule(
 
 
 def _completion(m: core.PModule, atoms: list[AtomicSummand]) -> CompletePart:
-    """complete_submodule's forced completion of the atomic carriers; each round spins v."""
+    """complete_submodule's forced completion of the atomic carriers; each
+    round spins the kept candidate v under the adjoint legs (``_invariant_outside``)."""
     d = m.dim
     # Atomic carriers are exact; every other piece must be one-dimensional
     # for the final candidate to count as certified smallest.
@@ -289,7 +290,7 @@ def _completion(m: core.PModule, atoms: list[AtomicSummand]) -> CompletePart:
     adjoints = [la.dagger(leg) for leg in m.legs]
     stalled = False
     while v.shape[1] < d:
-        rem = la.complete_basis(_spin(adjoints, v), d)
+        rem = _invariant_outside(adjoints, v)
         if rem.shape[1] == 0:
             break
         piece = _minimal_invariant_from(m, rem[:, 0])

@@ -588,28 +588,6 @@ def test_reduced_commutation_kernel_needs_no_fold_on_clean_input(monkeypatch):
     assert max(np.linalg.norm(x @ a - b @ x) for a, b in zip(prod.legs, pc.legs)) <= 1e-9
 
 
-def test_end_solve_takes_one_eigensolve(monkeypatch):
-    # End(m) pairs every leg with itself, so the two sides' Hermitian
-    # combinations are one matrix and one eigendecomposition serves both.
-    # Equal copies on the right side force the second eigensolve; the basis is
-    # bit-identical either way.
-    atom = families.atomic_module(families.AtomicLabel("01", np.exp(0.7j)))
-    m = core.direct_sum(core.direct_sum(atom, atom), families.random_module(3, seed=5))
-    m = core.conjugate(m, random_unitary(np.random.default_rng(9), m.dim))
-    pairs = _star_pairs(m, m)
-    copies = [(mk, nk.copy()) for mk, nk in pairs]
-    tau = la.DEFAULT_RTOL * max(np.linalg.norm(a) + np.linalg.norm(b) for a, b in pairs)
-    calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
-    basis = la._reduced_kernel(pairs, tau)
-    assert len(calls) == 1
-    want = la._reduced_kernel(copies, tau)
-    assert len(calls) == 3
-    assert len(basis) == len(want) == 5
-    assert all(np.array_equal(x, y) for x, y in zip(basis, want))
-
-
 def test_commutant_solves_above_the_cap_are_refused_before_allocating(monkeypatch):
     # Carrier 96: the fold's stacked QR input would be 2 (96^2)^2 complex
     # entries (2.5 GiB); the refusal comes before any of it is allocated.

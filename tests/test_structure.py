@@ -681,13 +681,16 @@ def test_completion_round_takes_one_complement(monkeypatch):
     m = core.direct_sum(core.direct_sum(atom, atom), families.random_module(3, seed=5))
     m = core.conjugate(m, random_unitary(np.random.default_rng(7), m.dim))
     calls = []
-    for home, name in ((structure, "largest_invariant_in"), (la, "complete_basis")):
+    homes = ((structure, "largest_invariant_in"), (structure, "_invariant_outside"),
+             (la, "complete_basis"))
+    for home, name in homes:
         f = getattr(home, name)
         monkeypatch.setattr(home, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
     rep = structure.classify_parts(m)
     assert (rep.atomic_dim, rep.diffuse_dim, rep.residual_dim) == (4, 3, 0)
     assert rep.confidence == "certified"
     assert calls.count("largest_invariant_in") == 0
+    assert calls.count("_invariant_outside") == 1
     assert calls.count("complete_basis") <= 2
 
 

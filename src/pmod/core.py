@@ -146,7 +146,9 @@ def validate(m: PModule, tol: float = la.DEFAULT_RTOL) -> ValidationReport:
 
 
 def conjugate(m: PModule, u: np.ndarray) -> PModule:
-    """The equivalent module u legs u* on the same carrier."""
+    """The equivalent module u legs u* on the same carrier (ShapeMismatch unless u is d x d)."""
+    if np.shape(u) != (m.dim, m.dim):
+        raise ShapeMismatch(f"conjugator of shape {np.shape(u)} on a carrier of dimension {m.dim}")
     ud = la.dagger(u)
     return PModule(legs=tuple(u @ leg @ ud for leg in m.legs))
 
@@ -197,12 +199,9 @@ def star(p: np.ndarray, q: np.ndarray, rtol: float = la.DEFAULT_RTOL) -> np.ndar
 
 def _kron_right(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x @ kron(a, b)* without forming it: each row of x, read as a p x q matrix
-    X (a is m x p, b is n x q), maps to conj(a) X b*, the cheaper factor first."""
+    X (a is m x p, b is n x q), maps to conj(a) X b*."""
     (m, p), (n, q) = a.shape, b.shape
-    x3 = x.reshape(-1, p, q)
-    if m * q * (p + n) <= n * p * (q + m):
-        return (np.conj(a) @ x3 @ la.dagger(b)).reshape(-1, m * n)
-    return (np.conj(a) @ (x3 @ la.dagger(b))).reshape(-1, m * n)
+    return (np.conj(a) @ x.reshape(-1, p, q) @ la.dagger(b)).reshape(-1, m * n)
 
 
 def _fusion_factors(m: PModule, mt: PModule):
@@ -279,8 +278,9 @@ def duality_check(m: PModule, rtol: float = la.DEFAULT_RTOL) -> DualityReport:
 
     ev sends e_i* (x) e_j to delta_ij, coev sends 1 to sum_i e_i (x) e_i*.
     Reports the fitted scalar lambda with ev o (leg of dual (x) m) = lambda ev
-    (one lambda for both legs; NotIntertwiner if none fits within rtol), the
-    zig-zag identity residual, and the categorical trace of the identity.
+    (one lambda for both legs; NotIntertwiner if none fits within rtol) and
+    ev's and coev's residuals. ev as a d x d matrix is I, so the zig-zags hold
+    exactly and ev o flip o coev = d: both are reported, not computed.
     Neither product is formed: with the fusion factors of dual (x) m, the row
     ev o L and the column L o coev = (ev o L*)* of each leg of dual (x) m and
     m (x) dual are evaluated one tensor factor at a time, in O(d^3).
@@ -305,15 +305,11 @@ def duality_check(m: PModule, rtol: float = la.DEFAULT_RTOL) -> DualityReport:
     # L o coev - lam coev is the adjoint of ev o L* - conj(lam) ev.
     coev_residual = max(float(np.linalg.norm(row - np.conj(lam) * ev)) for row in right)
     coev_residual /= math.sqrt(d)
-    # E = ev as a d x d matrix: (1 x ev)(coev x 1) = conj(E) E, (ev x 1)(1 x coev) its adjoint.
-    zig, eye = np.conj(ev.reshape(d, d)) @ ev.reshape(d, d), np.eye(d, dtype=np.complex128)
-    zigzag = max(la.frobenius(zig - eye), la.frobenius(la.dagger(zig) - eye))
-    # ev o flip o coev, the flip e_i (x) e_j -> e_j (x) e_i as an index permutation.
-    qdim = complex(ev[0] @ ev[0].conj().reshape(d, d).T.ravel())
+    # ev as a d x d matrix is I: both zig-zags are exactly I and ev o flip o coev = tr I = d.
     return DualityReport(
-        quantum_dim=float(qdim.real),
+        quantum_dim=float(d),
         ev_factor=complex(lam),
-        zigzag_residual=float(zigzag),
+        zigzag_residual=0.0,
         ev_residual=float(ev_residual),
         coev_residual=float(coev_residual),
     )
@@ -370,10 +366,11 @@ def scalar_coords_iso(c: GroupCoords) -> ScalarModule:
     """Group isomorphism (u, v, t) -> (u / sqrt(e^t + 1), sqrt(e^t/(e^t+1)) v)."""
     if abs(abs(c.u) - 1.0) > 1e-9 or abs(abs(c.v) - 1.0) > 1e-9:
         raise ValueError("u and v must be unit complex numbers")
+    if c.t > 0:  # through e^-t: e^t leaves the float range from t of about 710
+        e = math.exp(-c.t)
+        return ScalarModule(a=c.u * math.sqrt(e / (1.0 + e)), b=c.v / math.sqrt(1.0 + e))
     et = math.exp(c.t)
-    return ScalarModule(
-        a=c.u / math.sqrt(et + 1.0), b=math.sqrt(et / (et + 1.0)) * c.v
-    )
+    return ScalarModule(a=c.u / math.sqrt(et + 1.0), b=math.sqrt(et / (et + 1.0)) * c.v)
 
 
 def scalar_coords_of(s: ScalarModule) -> GroupCoords:
@@ -403,11 +400,13 @@ def kawamura_tensor(m: PModule, mt: PModule) -> PModule:
 def word_operator(m: PModule, word) -> np.ndarray:
     """Operator of a word over the legs, first digit applied first.
 
-    ``word`` is a sequence of leg indices (for two-leg modules a string of
-    '0'/'1' digits is also accepted).
+    ``word`` is a sequence of leg indices (a string of digits is also
+    accepted); ValueError names a digit outside range(m.arity).
     """
-    if isinstance(word, str):
-        word = [int(ch) for ch in word]
+    word = [int(ch) for ch in word] if isinstance(word, str) else list(word)
+    for digit in word:
+        if digit not in range(m.arity):
+            raise ValueError(f"word digit {digit!r} is not a leg of an arity-{m.arity} module")
     out = np.eye(m.dim, dtype=np.complex128)
     for digit in word:
         out = m.legs[digit] @ out

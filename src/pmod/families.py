@@ -104,7 +104,7 @@ class AtomicLabel:
             raise ValueError(f"not a binary word: {self.word!r}")
         if not is_prime_word(self.word):
             raise NotPrime(f"word {self.word!r} is a power of a shorter word")
-        if abs(abs(self.phase) - 1.0) > _PHASE_TOL:
+        if not abs(abs(self.phase) - 1.0) <= _PHASE_TOL:  # NaN fails too
             raise ValueError(f"phase must have unit modulus, got {self.phase!r}")
         object.__setattr__(self, "word", canonical_rotation(self.word))
         object.__setattr__(self, "phase", complex(self.phase))
@@ -155,7 +155,15 @@ class GPVector:
         return all(abs(a) > 1e-12 and abs(b) > 1e-12 for a, b in self.entries)
 
     def sphere_defect(self) -> float:
-        return max(abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) for a, b in self.entries)
+        return _sphere_defect(self.entries)
+
+
+def _sphere_defect(entries) -> float:
+    """max_k ||a_k|^2 + |b_k|^2 - 1|; inf when a square leaves the float range."""
+    try:
+        return max(abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) for a, b in entries)
+    except OverflowError:
+        return float("inf")
 
 
 def gp_module(z: GPVector) -> core.PModule:

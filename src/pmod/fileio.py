@@ -178,16 +178,13 @@ def parse_gp_vector(text: str) -> families.GPVector:
         a = _parse_entry(item[0], f"entry {i}.a")
         b = _parse_entry(item[1], f"entry {i}.b")
         entries.append((a, b))
-    try:
-        defect = max(abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) for a, b in entries)
-    except OverflowError:  # an entry whose square leaves the float range
-        defect = float("inf")
+    from . import families
+    defect = families._sphere_defect(entries)
     if defect > 1e-8:
         raise PythagoreanViolation(
             f"GP vector entries leave the unit sphere (defect {defect:.3e})",
             residual=defect,
         )
-    from . import families
     return families.GPVector(entries=tuple(entries))
 
 

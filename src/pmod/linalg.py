@@ -227,8 +227,6 @@ def gram_schmidt(columns: np.ndarray, against: np.ndarray | None = None) -> np.n
     for v, ref in zip(columns.T, np.linalg.norm(columns, axis=0).tolist()):
         if k == dim:
             break
-        if ref == 0.0:
-            continue
         for _ in range(2 if k else 0):
             v = v - (qc[:k] @ v) @ q[:k]
         nrm = np.linalg.norm(v)

@@ -130,8 +130,7 @@ def _minimal_invariant_from(m: core.PModule, seed: np.ndarray) -> np.ndarray:
             return cur
         inside = _spin((a, b), la.dagger(vh[-1:]))
         if inside.shape[1] == k:
-            outside = _spin((la.dagger(a), la.dagger(b)), u[:, -1:])
-            inside = la.complete_basis(outside, k)
+            inside = _invariant_outside((la.dagger(a), la.dagger(b)), u[:, -1:])
         if 0 < inside.shape[1] < k:
             cur, draws = cur @ inside, 0
         elif sigma[-2] > _SPIN_CUT:
@@ -553,7 +552,8 @@ def decompose_full(
             ok = mix.reshape(len(tree), r, len(tree), r).max(where=between, initial=0.0) < cut
         copies = r if ok else 1
         found += [(frame[:, cols[i::copies]], ok) for i in range(copies)]
-    if any(_invariance_defect(m, q) > _INV_TOL for q, _ in found):
+    # A block of d columns is the unitary frame: the whole carrier, invariant.
+    if any(q.shape[1] < d and _invariance_defect(m, q) > _INV_TOL for q, _ in found):
         found = [(np.eye(d, dtype=np.complex128), False)]
     blocks = []
     for q, ok in found:

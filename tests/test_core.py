@@ -1,6 +1,7 @@
 """Module algebra tests: validation, star, fusion, duals, scalars, words."""
 
 import json
+import math
 import tracemalloc
 import warnings
 
@@ -602,6 +603,23 @@ def test_coords_iso_examples():
     assert abs(prod.a - R2) < 1e-12  # (1/sqrt2) * (1/sqrt2) stays the unit
 
 
+
+def test_coords_iso_far_from_the_origin():
+    # e^t leaves the float range from t of about 710: t > 0 goes through e^-t,
+    # and t < 0 keeps the e^t expressions bit for bit.
+    u, v = np.exp(0.3j), np.exp(-1.1j)
+    s = core.scalar_coords_iso(core.GroupCoords(u, v, 800.0))
+    assert (abs(s.a), s.b) == (0.0, v)
+    s = core.scalar_coords_iso(core.GroupCoords(u, v, -800.0))
+    assert (s.a, abs(s.b)) == (u, 0.0)
+    for t in (30.0, -30.0):
+        s = core.scalar_coords_iso(core.GroupCoords(u, v, t))
+        back = core.scalar_coords_of(s)
+        assert abs(back.u - u) <= 1e-12 and abs(back.v - v) <= 1e-12
+        assert abs(back.t - t) <= 1e-12 * abs(t)
+    et = math.exp(-30.0)
+    assert (s.a, s.b) == (u / math.sqrt(et + 1.0), math.sqrt(et / (et + 1.0)) * v)
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     t=st.floats(min_value=-5, max_value=5),
@@ -667,6 +685,21 @@ def test_word_operator_order_reversed():
     assert np.allclose(w @ e1, 1j * e1)
     assert np.allclose(core.word_operator(m, (0, 1)), w)
 
+
+
+@pytest.mark.parametrize("word", ["012", [-1], (0, 2)])
+def test_word_operator_refuses_digits_outside_the_legs(word):
+    # A negative index would otherwise apply the last leg, a large one raise IndexError.
+    m = families.atomic_module(families.AtomicLabel("01", 1j))
+    with pytest.raises(ValueError, match=r"word digit (2|-1) is not a leg of an arity-2 module"):
+        core.word_operator(m, word)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 3)])
+def test_conjugate_refuses_a_conjugator_of_another_shape(shape):
+    m = families.random_module(2, "N", seed=1)
+    with pytest.raises(ShapeMismatch, match=r"conjugator of shape"):
+        core.conjugate(m, np.ones(shape))
 
 def test_conservation_seeded():
     rng = np.random.default_rng(31)

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -501,6 +502,19 @@ def test_decompose_solves_the_whole_carrier_when_a_frame_block_leaks(monkeypatch
     assert np.linalg.norm(q.conj().T @ q - np.eye(96)) < 1e-8
 
 
+def test_decompose_skips_the_invariance_gate_on_a_carrier_wide_block(monkeypatch):
+    # N(4) x N(4) is one irreducible block of 16 columns: the unitary frame,
+    # which spans the invariant carrier, so its defect is never computed.
+    m = core.boxtimes(families.random_module(4, "N", seed=1), families.random_module(4, "N", seed=2))
+    widths, defect = [], structure._invariance_defect
+    monkeypatch.setattr(structure, "_invariance_defect",
+                        lambda mm, q: widths.append(q.shape[1]) or defect(mm, q))
+    rep = structure.decompose_full(m, seed=0)
+    assert [(s.dimension, s.tag) for s in rep.summands] == [(16, "diffuse")]
+    assert rep.confidence == "certified"
+    assert widths.count(16) == 0
+
+
 def test_decompose_tags_atomic_and_diffuse():
     atom = families.atomic_module(families.AtomicLabel("01", 1.0))
     diff = families.random_module(2, "N", seed=11)
@@ -677,6 +691,8 @@ def test_completion_round_takes_one_complement(monkeypatch):
     # Two 01 atoms plus N(3), conjugated: one completion round adds the
     # diffuse part. The round spins the kept candidate under the adjoint legs
     # and completes that spin once; the candidate itself is never completed.
+    # Norton's test takes its own complements through _invariant_outside too,
+    # so only the calls made by the completion round are counted.
     atom = families.atomic_module(families.AtomicLabel("01", np.exp(0.7j)))
     m = core.direct_sum(core.direct_sum(atom, atom), families.random_module(3, seed=5))
     m = core.conjugate(m, random_unitary(np.random.default_rng(7), m.dim))
@@ -685,13 +701,19 @@ def test_completion_round_takes_one_complement(monkeypatch):
              (la, "complete_basis"))
     for home, name in homes:
         f = getattr(home, name)
-        monkeypatch.setattr(home, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
+
+        def counted(*a, f=f, name=name):
+            calls.append((name, sys._getframe(1).f_code.co_name))
+            return f(*a)
+
+        monkeypatch.setattr(home, name, counted)
     rep = structure.classify_parts(m)
     assert (rep.atomic_dim, rep.diffuse_dim, rep.residual_dim) == (4, 3, 0)
     assert rep.confidence == "certified"
-    assert calls.count("largest_invariant_in") == 0
-    assert calls.count("_invariant_outside") == 1
-    assert calls.count("complete_basis") <= 2
+    names = [name for name, _ in calls]
+    assert names.count("largest_invariant_in") == 0
+    assert calls.count(("_invariant_outside", "_completion")) == 1
+    assert names.count("complete_basis") <= 2
 
 
 def _coupled_residual_column():

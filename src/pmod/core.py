@@ -403,12 +403,12 @@ def word_operator(m: PModule, word) -> np.ndarray:
     ``word`` is a sequence of leg indices (a string of digits is also
     accepted); ValueError names a digit outside range(m.arity).
     """
-    word = [int(ch) for ch in word] if isinstance(word, str) else list(word)
+    if isinstance(word, str):
+        word = [int(ch) for ch in word]
+    out = np.eye(m.dim, dtype=np.complex128)
     for digit in word:
         if digit not in range(m.arity):
             raise ValueError(f"word digit {digit!r} is not a leg of an arity-{m.arity} module")
-    out = np.eye(m.dim, dtype=np.complex128)
-    for digit in word:
         out = m.legs[digit] @ out
     return out
 

@@ -603,7 +603,6 @@ def test_coords_iso_examples():
     assert abs(prod.a - R2) < 1e-12  # (1/sqrt2) * (1/sqrt2) stays the unit
 
 
-
 def test_coords_iso_far_from_the_origin():
     # e^t leaves the float range from t of about 710: t > 0 goes through e^-t,
     # and t < 0 keeps the e^t expressions bit for bit.
@@ -619,6 +618,7 @@ def test_coords_iso_far_from_the_origin():
         assert abs(back.t - t) <= 1e-12 * abs(t)
     et = math.exp(-30.0)
     assert (s.a, s.b) == (u / math.sqrt(et + 1.0), math.sqrt(et / (et + 1.0)) * v)
+
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
@@ -686,20 +686,13 @@ def test_word_operator_order_reversed():
     assert np.allclose(core.word_operator(m, (0, 1)), w)
 
 
-
-@pytest.mark.parametrize("word", ["012", [-1], (0, 2)])
+@pytest.mark.parametrize("word", ["012", [-1], (0, 2)], ids=["string", "negative", "tuple"])
 def test_word_operator_refuses_digits_outside_the_legs(word):
     # A negative index would otherwise apply the last leg, a large one raise IndexError.
     m = families.atomic_module(families.AtomicLabel("01", 1j))
     with pytest.raises(ValueError, match=r"word digit (2|-1) is not a leg of an arity-2 module"):
         core.word_operator(m, word)
 
-
-@pytest.mark.parametrize("shape", [(2, 3), (3, 3)])
-def test_conjugate_refuses_a_conjugator_of_another_shape(shape):
-    m = families.random_module(2, "N", seed=1)
-    with pytest.raises(ShapeMismatch, match=r"conjugator of shape"):
-        core.conjugate(m, np.ones(shape))
 
 def test_conservation_seeded():
     rng = np.random.default_rng(31)
@@ -764,6 +757,10 @@ _ERROR_CASES = {
     "gp_vector-empty": (lambda: families.GPVector(entries=()), ValueError),
     "gp_vector-off-sphere": (lambda: families.GPVector(entries=((1.0, 1.0),)), ValueError),
     "gp_vector-nan": (lambda: families.GPVector(entries=((np.nan, 0.0),)), ValueError),
+    "gp_vector-square-overflow": (lambda: families.GPVector(entries=((1e200, 0.0),)), ValueError),
+    "atomic_label-nan-phase": (lambda: families.AtomicLabel("01", complex("nan")), ValueError),
+    "conjugate-nonsquare": (lambda: core.conjugate(core.unit_module(), np.ones((1, 2))), ShapeMismatch),
+    "conjugate-other-size": (lambda: core.conjugate(core.unit_module(), np.eye(2)), ShapeMismatch),
     "pmodule-dim0": (lambda: core.PModule(legs=(np.zeros((0, 0)),) * 2), ShapeMismatch),
     "random_module-all-zero": (
         lambda: families.random_module(3, "M", zero_eigenvalues=3), ValueError

@@ -616,7 +616,7 @@ def test_coords_iso_far_from_the_origin():
         back = core.scalar_coords_of(s)
         assert abs(back.u - u) <= 1e-12 and abs(back.v - v) <= 1e-12
         assert abs(back.t - t) <= 1e-12 * abs(t)
-    et = math.exp(-30.0)
+    s, et = core.scalar_coords_iso(core.GroupCoords(u, v, -30.0)), math.exp(-30.0)
     assert (s.a, s.b) == (u / math.sqrt(et + 1.0), math.sqrt(et / (et + 1.0)) * v)
 
 

@@ -49,7 +49,7 @@ def _cmd_validate(args) -> core.ValidationReport:
 
 
 def _cmd_fuse(args) -> core.PModule:
-    return core.boxtimes(*_load_pair(args), args.tol)
+    return core.boxtimes(*_load_pair(args))
 
 
 def _cmd_kfuse(args) -> core.PModule:

@@ -218,16 +218,16 @@ def _fusion_factors(m: PModule, mt: PModule):
     return ga.vectors, gat.vectors, 1.0 / np.sqrt(k2)
 
 
-def boxtimes(m: PModule, mt: PModule, rtol: float = la.DEFAULT_RTOL) -> PModule:
+def boxtimes(m: PModule, mt: PModule) -> PModule:
     """Fusion product of two-leg modules on the Kronecker carrier.
 
     Legs are (A x At) K^-1 and (B x Bt) K^-1 with
     K = sqrt(|A|^2 x |At|^2 + |B|^2 x |Bt|^2); KernelOverlap when K fails the
-    relative invertibility gate _K_GATE (the kernel-overlap condition; rtol
-    gates nothing). K^-1 is diagonal on V x Vt, V and Vt the eigenbases of
-    A*A and At*At, so each leg is evaluated one factor at a time as
-    (X V x Xt Vt) diag(s) (V x Vt)*: no carrier-sized K^-1 or basis, and
-    O(D^2 (d + dt)) work for D = d dt.
+    relative invertibility gate _K_GATE (the kernel-overlap condition, a
+    fixed gate: boxtimes takes no tolerance). K^-1 is diagonal on V x Vt, V
+    and Vt the eigenbases of A*A and At*At, so each leg is evaluated one
+    factor at a time as (X V x Xt Vt) diag(s) (V x Vt)*: no carrier-sized
+    K^-1 or basis, and O(D^2 (d + dt)) work for D = d dt.
     """
     _require_arity2(m, "boxtimes")
     _require_arity2(mt, "boxtimes")

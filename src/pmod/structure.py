@@ -250,27 +250,24 @@ class CompletePart:
 
 
 def complete_submodule(
-    m: core.PModule,
-    max_len: int | None = None,
-    rtol: float = la.DEFAULT_RTOL,
-    use_class_shortcut: bool = True,
+    m: core.PModule, max_len: int | None = None, rtol: float = la.DEFAULT_RTOL
 ) -> CompletePart:
     """Smallest complete submodule (isometry, dimension, confidence).
 
     Modules with a normal first leg and invertible second leg (class M) are
-    full, so the whole carrier is returned directly. Otherwise the candidate
-    starts from the atomic carriers and is forced to completeness
-    (``_completion``): while the orthocomplement holds an invariant subspace
-    (the complement of the candidate's spin under the adjoint legs), the
-    minimal invariant subspace Norton's test finds in the closure of its
-    first basis vector is added. The final state satisfies the
-    completeness certificate at the spin cut; "certified" also requires the
-    smallest-candidate evidence (class shortcut, whole carrier, or all pieces
-    one-dimensional) and no remainder added whole because its minimal piece
-    fell in the candidate.
+    full, so the whole carrier is returned with no search. Otherwise the
+    candidate starts from the atomic carriers and is forced to completeness
+    (``_completion``, which runs on any module): while the orthocomplement
+    holds an invariant subspace (the complement of the candidate's spin
+    under the adjoint legs), the minimal invariant subspace Norton's test
+    finds in the closure of its first basis vector is added. The final state
+    satisfies the completeness certificate at the spin cut; "certified" also
+    requires the smallest-candidate evidence (class shortcut, whole carrier,
+    or all pieces one-dimensional) and no remainder added whole because its
+    minimal piece fell in the candidate.
     """
     core._require_arity2(m, "complete_submodule")
-    if use_class_shortcut and core.in_class_m(m, rtol):
+    if core.in_class_m(m, rtol):
         return CompletePart(np.eye(m.dim, dtype=np.complex128), m.dim, "certified")
     return _completion(m, atomic_part(m, max_len, rtol))
 
@@ -340,16 +337,16 @@ def classify_parts(
 ) -> ClassifyReport:
     """Split the carrier into atomic, diffuse and residual dimensions.
 
-    The complete part is complete_submodule's, from one atomic part; the
-    legs of a class-M module that decay (``_decays``) hold no atom and make
-    the whole carrier certified diffuse. Otherwise the diffuse candidate, the
-    orthocomplement of the atomic span in the complete part, is certified
-    when it is leg-invariant and passes the decay certificate.
+    The complete part is complete_submodule's, from one atomic walk. Legs
+    that decay (``_decays``) hold no atom, and every restriction of them
+    decays, so the complete part is diffuse, with no walk, certificate or
+    gate. Otherwise the diffuse candidate, the orthocomplement of the
+    atomic span in the complete part, is certified when it passes the decay
+    certificate and, if it has fewer than d columns, the leg-invariance gate.
     """
     core._require_arity2(m, "classify_parts")
-    class_m = core.in_class_m(m, rtol)
-    decays = class_m and _decays(m, rtol)
-    atoms = [] if decays else (_atomic_walk if class_m else atomic_part)(m, max_len, rtol)
+    class_m, decays = core.in_class_m(m, rtol), _decays(m, rtol)
+    atoms = [] if decays else _atomic_walk(m, max_len, rtol)
     comp = (CompletePart(np.eye(m.dim, dtype=np.complex128), m.dim, "certified") if class_m
             else _completion(m, atoms))
     v = comp.isometry
@@ -364,8 +361,9 @@ def classify_parts(
     residual = m.dim - comp.p_dimension
 
     confidence = comp.confidence
+    # A diffuse block of d columns is the unitary frame: the whole carrier, invariant.
     if diffuse_dim and not decays and (
-        _invariance_defect(m, diffuse) > _INV_TOL
+        (diffuse_dim < m.dim and _invariance_defect(m, diffuse) > _INV_TOL)
         or not _diffuse_certificate(_restricted_module(m, diffuse))
     ):
         confidence = "heuristic"
@@ -436,8 +434,9 @@ def _frame(m: core.PModule, eig: la.HermEig, forest: tuple | None = None) -> tup
     the R_k or R_k* where it is largest, making it positive (smin: its
     smallest singular value; for a simple cluster, one entry's conjugate
     phase). Across copies of one irreducible the blocks become multiples of
-    I, so copy i is column i of every cluster. Given a forest, only its edge
-    blocks are read, from L_k V: the R_k are not formed.
+    I, so copy i is column i of every cluster. The edge blocks of one
+    cluster size are read in one batched gather from V and L_k V, so given a
+    forest the R_k are not formed.
     """
     v, n = eig.vectors, m.arity
     lv = np.stack(m.legs) @ v
@@ -455,7 +454,7 @@ def _frame(m: core.PModule, eig: la.HermEig, forest: tuple | None = None) -> tup
             closer = reach[j] > best
             best[closer], src[closer] = reach[j][closer], j
         edge = np.concatenate([mags[:, parent, range(c)], mags[:, range(c), parent]]).argmax(axis=0)
-        lo = max(m.dim, 1) * np.finfo(float).eps  # rounding floor; the largest coupling caps the cut
+        lo = m.dim * np.finfo(float).eps  # rounding floor; the largest coupling caps the cut
         top = w.max(initial=lo)
         pts = np.clip(np.concatenate([[lo], np.sort(weight[order[1:]]), [top]]), lo, top)
         i = int(np.argmax(np.diff(np.log(pts))))
@@ -469,17 +468,16 @@ def _frame(m: core.PModule, eig: la.HermEig, forest: tuple | None = None) -> tup
     for k in {sizes[j] for j in kids}:  # one batched turn per cluster size
         batch = np.array([j for j in kids if sizes[j] == k])
         e, up, down = edge[batch], starts[parent[batch]], starts[batch]
-        # Edge blocks R_e[up, down], or R_{e-n}[down, up]* on an adjoint edge, from V and L_e V.
-        if k == 1:  # one fancy index; the turn is the entry's conjugate phase
-            fwd = e < n
-            x = np.einsum("ij,ij->j", v[:, np.where(fwd, up, down)].conj(), lv[e % n, :, np.where(fwd, down, up)].T)
-            x = np.where(fwd, x, x.conj())
-            smin[batch], phase[batch] = np.abs(x), np.exp(-1j * np.angle(x))
+        # Edge blocks R_e[up, down], or R_{e-n}[down, up]* on an adjoint edge, gathered from V and L_e V.
+        fwd = e < n
+        rows = np.where(fwd, up, down)[:, None] + np.arange(k)
+        cols = np.where(fwd, down, up)[:, None] + np.arange(k)
+        x = v[:, rows].conj().transpose(1, 2, 0) @ lv[(e % n)[:, None], :, cols].transpose(0, 2, 1)
+        x = np.where(fwd[:, None, None], x, x.conj().transpose(0, 2, 1))
+        if k == 1:  # the turn is the entry's conjugate phase
+            smin[batch], phase[batch] = np.abs(x[:, 0, 0]), np.exp(-1j * np.angle(x[:, 0, 0]))
             continue
-        ends = [(slice(a, a + k), slice(b, b + k), f) for a, b, f in zip(up, down, e)]
-        blocks = [la.dagger(v[:, a]) @ lv[f][:, b] if f < n else la.dagger(la.dagger(v[:, b]) @ lv[f - n][:, a])
-                  for a, b, f in ends]
-        u, sigma, vh = la._lapack(np.linalg.svd, np.stack(blocks))
+        u, sigma, vh = la._lapack(np.linalg.svd, x)
         smin[batch] = sigma[:, -1]
         turns.update(zip(batch.tolist(), np.conj(u @ vh).transpose(0, 2, 1)))
     for j in kids:  # parents first; phases stay 1 on larger clusters

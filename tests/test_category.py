@@ -6,6 +6,7 @@ A multiplicity is the number of summands that ``equivalent`` finds True
 against the target module.
 """
 
+import numpy as np
 import pytest
 
 from pmod import core, families, structure
@@ -68,3 +69,20 @@ def test_dual_of_a_product_is_the_reversed_product_of_duals(seed):
     lhs = core.dual_module(core.boxtimes(a, b))
     rhs = core.boxtimes(core.dual_module(b), core.dual_module(a))
     assert structure.equivalent(lhs, rhs).verdict is True
+
+
+@pytest.mark.parametrize("tag", ["N", "M"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_fusion_square_splits_by_the_flip(tag, d, seed):
+    # The flip commutes with the legs of a ⊠ a, so a ⊠ a splits into its
+    # antisymmetric and symmetric squares, of dimensions d(d-1)/2 and
+    # d(d+1)/2: the flip is -1 on the first summand and +1 on the second.
+    a = families.random_module(d, tag, seed=seed)
+    rep = structure.decompose_full(core.boxtimes(a, a), seed=0)
+    assert rep.confidence == "certified"
+    assert [(s.dimension, s.tag) for s in rep.summands] == [
+        (d * (d - 1) // 2, "diffuse"), (d * (d + 1) // 2, "diffuse")]
+    flip = core.flip_permutation(d, d)
+    for s, sign in zip(rep.summands, (-1, 1)):
+        assert np.abs(flip @ s.isometry - sign * s.isometry).max() <= 1e-9

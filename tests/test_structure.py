@@ -260,7 +260,7 @@ def test_complete_submodule_class_m_whole():
 
 def test_complete_submodule_direct_sum_of_scalars():
     ds = core.direct_sum(core.unit_module(), core.scalar_module(0.5, np.sqrt(3) / 2))
-    cp = structure.complete_submodule(ds, use_class_shortcut=False)
+    cp = structure._completion(ds, structure.atomic_part(ds))
     assert cp.p_dimension == 2
 
 
@@ -275,7 +275,7 @@ def test_p_dimension_multiplicative_generic_path():
         m = families.random_module(d1, "M", seed=40 + i)
         mt = families.random_module(d2, "M", seed=80 + i)
         prod = core.boxtimes(m, mt)
-        cp = structure.complete_submodule(prod, use_class_shortcut=False)
+        cp = structure._completion(prod, structure.atomic_part(prod))
         assert cp.p_dimension == d1 * d2
 
 
@@ -640,6 +640,23 @@ def test_complete_submodule_mixed_complete_and_residual():
     assert (rep.diffuse_dim, rep.atomic_dim, rep.residual_dim) == (2, 0, 1)
 
 
+def test_classify_decaying_legs_outside_class_m(monkeypatch):
+    # A is not normal, so m is not in class M, but both legs decay: the
+    # whole carrier is certified diffuse with no certificate and no
+    # invariance gate.
+    a = np.array([[0.3, 0.4], [0.0, 0.5]], dtype=complex)
+    m = core.PModule(legs=(a, la.psd_funcalc(np.eye(2) - a.conj().T @ a, "sqrt")))
+    assert not core.in_class_m(m, la.DEFAULT_RTOL) and structure._decays(m, la.DEFAULT_RTOL)
+    calls = []
+    for name in ("_diffuse_certificate", "_invariance_defect"):
+        fn = getattr(structure, name)
+        monkeypatch.setattr(structure, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    rep = structure.classify_parts(m)
+    assert (rep.atomic_dim, rep.diffuse_dim, rep.residual_dim) == (0, 2, 0)
+    assert rep.confidence == "certified"
+    assert calls == []
+
+
 def test_complete_submodule_atomic_plus_residual(monkeypatch):
     m = core.direct_sum(shared_eigenline_module(),
                         families.atomic_module(families.AtomicLabel("01", 1j)))
@@ -647,13 +664,13 @@ def test_complete_submodule_atomic_plus_residual(monkeypatch):
     assert cp.p_dimension == 3
     assert cp.confidence == "certified"
     calls = []
-    atomic_part = structure.atomic_part
+    walk = structure._atomic_walk
     monkeypatch.setattr(
-        structure, "atomic_part", lambda *a, **k: calls.append(1) or atomic_part(*a, **k)
+        structure, "_atomic_walk", lambda *a, **k: calls.append(1) or walk(*a, **k)
     )
     rep = structure.classify_parts(m)
     assert (rep.atomic_dim, rep.diffuse_dim, rep.residual_dim) == (2, 1, 1)
-    assert len(calls) == 1  # the complete-part search's atomic part is reused
+    assert len(calls) == 1  # the complete-part search's atomic walk is reused
 
 
 def test_forced_completion_ends_within_d_rounds(monkeypatch):
@@ -1210,6 +1227,37 @@ def test_leg_norm_gate_edge_runs_the_walk(monkeypatch):
     calls.clear()
     assert structure.atomic_part(m, rtol=1e-9) == [] and calls == []
     assert [s.tag for s in structure.decompose_full(m, rtol=1e-9).summands] == ["diffuse"] * 2
+
+
+def test_frame_turns_edges_of_every_orientation():
+    # Each kid (a cluster turned along a forest edge from a parent of its
+    # size) meets its parent in a Hermitian positive semidefinite block of
+    # the turned frame, read in its edge's orientation: R_e[parent, kid], or
+    # R_{e-n}[kid, parent]* on an adjoint edge. The inputs give simple and
+    # larger clusters on forward and adjoint edges.
+    rng = np.random.default_rng(5)
+    atom = families.atomic_module(families.AtomicLabel("01", np.exp(0.7j)))
+    p3, p4 = (core.boxtimes(families.random_module(d, "N", seed=1), families.random_module(d, "N", seed=2))
+              for d in (3, 4))
+    mods = [core.direct_sum(core.direct_sum(p3, p3), p3), p4,
+            core.direct_sum(core.direct_sum(atom, atom), families.random_module(3, "N", seed=3))]
+    seen = set()
+    for mod in mods:
+        mod = core.conjugate(mod, random_unitary(rng, mod.dim))
+        eig = la._eigh(structure._probe(mod, np.random.default_rng(0))[1])
+        frame, (runs, order, parent, edge, _, _), _ = structure._frame(mod, eig)
+        turned = np.stack([frame.conj().T @ leg @ frame for leg in mod.legs])
+        n = mod.arity
+        for j in order:
+            p = parent[j]
+            if p < 0 or runs[j][1] - runs[j][0] != runs[p][1] - runs[p][0]:
+                continue
+            kid, up = slice(*runs[j]), slice(*runs[p])
+            block = turned[edge[j], up, kid] if edge[j] < n else turned[edge[j] - n, kid, up].conj().T
+            assert np.abs(block - block.conj().T).max() <= 1e-12
+            assert np.linalg.eigvalsh((block + block.conj().T) / 2).min() >= -1e-12
+            seen.add((block.shape[0] > 1, bool(edge[j] >= n)))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_frame_turns_simple_clusters_to_positive_couplings():

@@ -31,6 +31,17 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
+def _tolerance(text: str) -> float:
+    """--tol's type: a float other than NaN, which every comparison would fail."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = float("nan")
+    if tol != tol:
+        raise argparse.ArgumentTypeError(f"expected a number other than NaN, got {text!r}")
+    return tol
+
+
 def _load_module(path: str, tol: float) -> core.PModule:
     # Files are accepted at the parse gate even when --tol is stricter, so
     # inputs rounded to 10 digits keep working; operations still run at --tol.
@@ -118,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fusion, duality, decomposition, classification.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=la.DEFAULT_RTOL, help="numeric tolerance")
+    common.add_argument("--tol", type=_tolerance, default=la.DEFAULT_RTOL, help="numeric tolerance")
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="report format"
     )

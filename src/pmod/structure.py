@@ -24,19 +24,17 @@ from . import families
 from . import linalg as la
 from .errors import NotFullSuspected, ShapeMismatch
 
-# Leg-invariance acceptance for emitted isometries.
-_INV_TOL = 1e-8
-
 # K: a cut of the probe eigenbasis couplings certifies only at this margin.
 _MARGIN = 1e3
 
-# A spin keeps a residual direction whose singular value exceeds this.
-_SPIN_CUT = 1e-7
+# Whether a leg or word image leaves a subspace: a spin keeps a residual
+# direction, and a carrier passes the leg-invariance gate, at this cut.
+_LEG_CUT = 1e-7
 
 # Diffuse certificate: word branches are pruned once their restricted
 # operator norm drops to this, and survivors at exhausted budget make the
 # verdict heuristic.
-_DECAY_PRUNE = 1.0 - 1e-7
+_DECAY_PRUNE = 1.0 - _LEG_CUT
 _DECAY_DEPTH = 400
 _DECAY_BREADTH = 512
 
@@ -80,17 +78,17 @@ def _spin(ops, start: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the closure of span(start) under ops: each round
     maps the frontier through all ops in one stacked matmul, projects the
     images twice off the basis and keeps the left singular vectors clearing
-    the absolute cut _SPIN_CUT (ops are contractions, start orthonormal)."""
+    the absolute leg cut _LEG_CUT (ops are contractions, start orthonormal)."""
     d, n = start.shape[0], len(ops)
     stacked, q, frontier = np.vstack(ops), start, start
     while frontier.shape[1] and q.shape[1] < d:
         images = (stacked @ frontier).reshape(n, d, -1).transpose(1, 0, 2).reshape(d, -1)
         for _ in range(2):
             images = images - q @ (la.dagger(q) @ images)
-        if la.frobenius(images) <= _SPIN_CUT:
+        if la.frobenius(images) <= _LEG_CUT:
             break
         u, sigma, _ = la.thin_svd(images)
-        frontier = u[:, sigma > _SPIN_CUT]
+        frontier = u[:, sigma > _LEG_CUT]
         q = np.column_stack([q, frontier])
     return q
 
@@ -114,8 +112,9 @@ def _minimal_invariant_from(m: core.PModule, seed: np.ndarray) -> np.ndarray:
     U^perp holds the cokernel vector w (lam one on W/U). So a proper leg
     spin of v, or the complement in W of a proper adjoint spin of w, shrinks
     W; when both fill W and the kernel is one-dimensional (second smallest
-    singular value above _SPIN_CUT), W is irreducible. After three draws on
-    one W without a verdict, or on a LAPACK failure, W is returned as is.
+    singular value above the leg cut _LEG_CUT), W is irreducible. After
+    three draws on one W without a verdict, or on a LAPACK failure, W is
+    returned as is.
     """
     rng = np.random.default_rng(0)
     cur, draws = closure(m, seed), 0
@@ -133,7 +132,7 @@ def _minimal_invariant_from(m: core.PModule, seed: np.ndarray) -> np.ndarray:
             inside = _invariant_outside((la.dagger(a), la.dagger(b)), u[:, -1:])
         if 0 < inside.shape[1] < k:
             cur, draws = cur @ inside, 0
-        elif sigma[-2] > _SPIN_CUT:
+        elif sigma[-2] > _LEG_CUT:
             return cur
         else:
             draws += 1
@@ -188,7 +187,13 @@ def atomic_part(
 
 
 def _atomic_walk(m: core.PModule, max_len: int | None, rtol: float) -> list[AtomicSummand]:
-    """atomic_part past its decay test, for two-leg callers that ran it."""
+    """atomic_part past its decay test, for two-leg callers that ran it.
+
+    Each cut is the leg cut _LEG_CUT: stabilization keeps the directions
+    whose word image leaves the subspace by at most it, and a carrier's
+    invariance defect must not exceed it. An eigenvalue off the unit circle
+    (by more than families._PHASE_TOL, as at a large rtol) gives no atom.
+    """
     d = m.dim
     depth = d if max_len is None else min(max_len, d)
     claimed = np.zeros((d, 0), dtype=np.complex128)
@@ -211,7 +216,7 @@ def _atomic_walk(m: core.PModule, max_len: int | None, rtol: float) -> list[Atom
             # Keep directions whose image under the word operator stays
             # inside (the word acts invertibly on the limit subspace).
             resid = ps - stable @ (la.dagger(stable) @ ps)
-            coef = la.kernel_basis(resid, rtol, scale=1.0)
+            coef = la.kernel_basis(resid, _LEG_CUT, scale=1.0)
             if coef.shape[1] == stable.shape[1]:
                 break
             stable = stable @ coef
@@ -221,6 +226,8 @@ def _atomic_walk(m: core.PModule, max_len: int | None, rtol: float) -> list[Atom
             continue
         phases, vecs = la.unitary_eig(la.dagger(stable) @ ps)
         for j in range(vecs.shape[1]):
+            if not abs(abs(phases[j]) - 1.0) <= families._PHASE_TOL:  # NaN fails too
+                continue  # the word does not act isometrically here: no atom
             eta = stable @ vecs[:, j]
             if np.linalg.norm(eta - claimed @ (la.dagger(claimed) @ eta)) < 0.5:
                 continue  # carrier already claimed at this word
@@ -228,7 +235,7 @@ def _atomic_walk(m: core.PModule, max_len: int | None, rtol: float) -> list[Atom
             for digit in word[:-1]:
                 orbit.append(m.legs[int(digit)] @ orbit[-1])
             carrier = la.gram_schmidt(np.column_stack(orbit))
-            if carrier.shape[1] != len(word) or _invariance_defect(m, carrier) > _INV_TOL:
+            if carrier.shape[1] != len(word) or _invariance_defect(m, carrier) > _LEG_CUT:
                 continue
             label = families.AtomicLabel(word=word, phase=complex(phases[j]))
             found.append(AtomicSummand(label=label, isometry=carrier))
@@ -341,8 +348,9 @@ def classify_parts(
     that decay (``_decays``) hold no atom, and every restriction of them
     decays, so the complete part is diffuse, with no walk, certificate or
     gate. Otherwise the diffuse candidate, the orthocomplement of the
-    atomic span in the complete part, is certified when it passes the decay
-    certificate and, if it has fewer than d columns, the leg-invariance gate.
+    atomic span in the complete part (overlaps cut at _LEG_CUT), is
+    certified when it passes the decay certificate and, if it has fewer
+    than d columns, the leg-invariance gate at _LEG_CUT.
     """
     core._require_arity2(m, "classify_parts")
     class_m, decays = core.in_class_m(m, rtol), _decays(m, rtol)
@@ -352,7 +360,7 @@ def classify_parts(
     v = comp.isometry
     if atoms:
         c = np.hstack([s.isometry for s in atoms])
-        coef = la.kernel_basis(la.dagger(c) @ v, rtol, scale=1.0)
+        coef = la.kernel_basis(la.dagger(c) @ v, _LEG_CUT, scale=1.0)
         diffuse = v @ coef
     else:
         diffuse = v
@@ -363,7 +371,7 @@ def classify_parts(
     confidence = comp.confidence
     # A diffuse block of d columns is the unitary frame: the whole carrier, invariant.
     if diffuse_dim and not decays and (
-        (diffuse_dim < m.dim and _invariance_defect(m, diffuse) > _INV_TOL)
+        (diffuse_dim < m.dim and _invariance_defect(m, diffuse) > _LEG_CUT)
         or not _diffuse_certificate(_restricted_module(m, diffuse))
     ):
         confidence = "heuristic"
@@ -500,13 +508,13 @@ def decompose_full(
     and no turned coupling between copies does: a copy's eigenvectors of h
     are simple and joined by couplings, so it has no proper *-invariant (so
     h-invariant) subspace. Fallbacks: any other tree, or the carrier if a
-    block fails the leg-invariance gate, is split by the eigenspaces of one
-    seeded random Hermitian element of its adjoint-closed commutant, each
-    split again until its commutant is trivial; a block whose element has
-    one eigenvalue cluster stays whole and makes the report "heuristic". A
-    commutant eigenspace failing that gate raises NotFullSuspected, the
-    symptom of a non-full input; a commutant solve above linalg's size cap
-    raises TooLarge.
+    block's invariance defect exceeds the leg cut _LEG_CUT, is split by the
+    eigenspaces of one seeded random Hermitian element of its adjoint-closed
+    commutant, each split again until its commutant is trivial; a block
+    whose element has one eigenvalue cluster stays whole and makes the
+    report "heuristic". A commutant eigenspace failing that gate raises
+    NotFullSuspected, the symptom of a non-full input; a commutant solve
+    above linalg's size cap raises TooLarge.
     """
     rng, d, certified = np.random.default_rng(seed), m.dim, True
 
@@ -529,7 +537,7 @@ def decompose_full(
         for start, stop in runs:
             qc = q @ eig.vectors[:, start:stop]
             inv = _invariance_defect(m, qc)
-            if inv > _INV_TOL:
+            if inv > _LEG_CUT:
                 raise NotFullSuspected(
                     f"commutant eigenspace is not leg-invariant (defect {inv:.3e}); "
                     "the module may not be full"
@@ -551,7 +559,7 @@ def decompose_full(
         copies = r if ok else 1
         found += [(frame[:, cols[i::copies]], ok) for i in range(copies)]
     # A block of d columns is the unitary frame: the whole carrier, invariant.
-    if any(q.shape[1] < d and _invariance_defect(m, q) > _INV_TOL for q, _ in found):
+    if any(q.shape[1] < d and _invariance_defect(m, q) > _LEG_CUT for q, _ in found):
         found = [(np.eye(d, dtype=np.complex128), False)]
     blocks = []
     for q, ok in found:
@@ -592,8 +600,9 @@ class EquivalenceResult:
 
 
 def _witness_tol(rtol: float) -> float:
-    """eta, the largest leg defect ||U L_k U* - L'_k||_F a witness may have."""
-    return max(1e-7, 10 * rtol)
+    """eta = max(_LEG_CUT, 10 rtol), the largest leg defect ||U L_k U* - L'_k||_F
+    a witness may have; ||U U* - I||_F is held to _LEG_CUT."""
+    return max(_LEG_CUT, 10 * rtol)
 
 
 def _leg_defect(m: core.PModule, mt: core.PModule, u: np.ndarray) -> float:
@@ -602,7 +611,7 @@ def _leg_defect(m: core.PModule, mt: core.PModule, u: np.ndarray) -> float:
 
 
 def _verify_witness(m: core.PModule, mt: core.PModule, u: np.ndarray, rtol: float) -> bool:
-    unitary = la.frobenius(u @ la.dagger(u) - np.eye(u.shape[0])) <= 1e-7
+    unitary = la.frobenius(u @ la.dagger(u) - np.eye(u.shape[0])) <= _LEG_CUT
     return unitary and _leg_defect(m, mt, u) <= _witness_tol(rtol)
 
 

@@ -1,8 +1,10 @@
 """Shared builders for the worked examples and seeded inputs."""
 
+import json
+
 import numpy as np
 
-from pmod import core, families
+from pmod import core, families, fileio
 from pmod import linalg as la
 
 
@@ -50,6 +52,20 @@ def random_gp(rng, length):
         pa, pb = np.exp(2j * np.pi * rng.random(2))
         entries.append((aa * pa, bb * pb))
     return families.GPVector(entries=tuple(entries))
+
+
+def gp_copies(seed):
+    """Two copies of GP (6, 8), which is 2 x 24, conjugated by a unitary: carrier 96."""
+    rng = np.random.default_rng(seed)
+    g = core.boxtimes(families.gp_module(random_gp(rng, 6)), families.gp_module(random_gp(rng, 8)))
+    return core.conjugate(core.direct_sum(g, g), random_unitary(rng, 96))
+
+
+def rounded_file(m, digits=10):
+    """m's module file with every entry rounded to that many significant digits."""
+    obj = json.loads(fileio.serialize_module(m))
+    obj["legs"] = [[[[float(f"{x:.{digits}g}") for x in z] for z in row] for row in leg] for leg in obj["legs"]]
+    return json.dumps(obj)
 
 
 def d2_display_pair(alpha=np.exp(1j * np.pi / 7)):

@@ -598,6 +598,40 @@ def test_cli_usage_error_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_cli_nan_tolerance_is_a_usage_error(files, capsys):
+    # No comparison with NaN holds, so --tol nan is refused where it is
+    # parsed, naming --tol, and not blamed on the file; so is a non-number.
+    _, write = files
+    path = write("unit.json", core.unit_module())
+    for tol in ("nan", "NaN", "x"):
+        code, out, err = run_cli(capsys, "validate", path, "--tol", tol)
+        assert (code, out) == (2, "")
+        assert f"argument --tol: expected a number other than NaN, got '{tol}'" in err
+
+
+@pytest.mark.parametrize("tol", ["0.99", "1", "inf"])
+def test_cli_structure_commands_at_a_large_tolerance(files, capsys, tol):
+    # At such a tolerance the walk meets eigenvalues off the unit circle,
+    # where the word is not isometric: no atom is read there, and the atom
+    # 01 at phase i and the diffuse N(3) are still found.
+    _, write = files
+    atom = families.atomic_module(families.AtomicLabel("01", 1j))
+    path = write("s.json", core.direct_sum(atom, families.random_module(3, "N")))
+    code, out, _ = run_cli(capsys, "atomic", path, "--tol", tol, "--format", "json")
+    assert code == 0
+    got = [(x["word"], x["phase"], x["dimension"]) for x in json.loads(out)["summands"]]
+    assert got == [("01", [0.0, 1.0], 2)]
+    code, out, _ = run_cli(capsys, "classify", path, "--tol", tol, "--format", "json")
+    r = json.loads(out)
+    assert code == 0
+    assert (r["atomic_dim"], r["diffuse_dim"], r["residual_dim"], r["confidence"]) == (2, 3, 0, "certified")
+    code, out, _ = run_cli(capsys, "decompose", path, "--seed", "0", "--tol", tol, "--format", "json")
+    r = json.loads(out)
+    assert code == 0
+    assert [(x["dimension"], x["tag"]) for x in r["summands"]] == [(2, "atomic"), (3, "diffuse")]
+    assert r["confidence"] == "certified"
+
+
 def test_cli_gp_fuse_lengths(capsys):
     z = json.dumps([[[0.6, 0.0], [0.8, 0.0]], [[0.8, 0.0], [0.0, 0.6]]])
     zt = json.dumps(

@@ -1,7 +1,6 @@
 """Structural analysis tests: intertwiners, parts, decomposition, equivalence."""
 
 import functools
-import json
 import sys
 
 import numpy as np
@@ -14,10 +13,12 @@ from pmod.errors import NotFullSuspected, TooLarge
 from conftest import (
     atomic_emergence_pair,
     d2_display_pair,
+    gp_copies,
     random_d2,
     random_gp,
     random_unitary,
     restricted,
+    rounded_file,
     shared_eigenline_module,
 )
 
@@ -119,8 +120,9 @@ def test_atomic_part_multiplicity():
 
 def _full_depth_atomic_part(m, rtol=1e-9):
     """Reference: the binary prefix tree walked 2d deep over every word, with
-    the prefix operator carried and the prime-word test made per node."""
-    la = structure.la
+    the prefix operator carried and the prime-word test made per node; its
+    stabilization and invariance cuts are the walk's own leg cut."""
+    la, cut = structure.la, structure._LEG_CUT
     d = m.dim
     claimed = np.zeros((d, 0), dtype=complex)
     found = []
@@ -133,7 +135,7 @@ def _full_depth_atomic_part(m, rtol=1e-9):
             while stable.shape[1]:
                 pq = prefix @ stable
                 resid = pq - stable @ (la.dagger(stable) @ pq)
-                coef = la.kernel_basis(resid, rtol, scale=1.0)
+                coef = la.kernel_basis(resid, cut, scale=1.0)
                 if coef.shape[1] == stable.shape[1]:
                     break
                 stable = stable @ coef
@@ -147,7 +149,7 @@ def _full_depth_atomic_part(m, rtol=1e-9):
                     if np.linalg.norm(eta - claimed @ (la.dagger(claimed) @ eta)) < 0.5:
                         continue
                     carrier = la.gram_schmidt(np.column_stack([p @ eta for p in prefixes]))
-                    if carrier.shape[1] != len(word) or structure._invariance_defect(m, carrier) > 1e-8:
+                    if carrier.shape[1] != len(word) or structure._invariance_defect(m, carrier) > cut:
                         continue
                     found.append((word, complex(phases[j]), carrier.shape[1]))
                     claimed = np.column_stack([claimed, la.gram_schmidt(carrier, against=claimed)])
@@ -195,6 +197,28 @@ def test_lyndon_walk_matches_full_depth_walk():
             want = _full_depth_atomic_part(m)
             assert [(w, k) for w, _, k in got] == [(w, k) for w, _, k in want], (seed, noise)
             assert all(abs(a[1] - b[1]) <= 1e-9 for a, b in zip(got, want)), (seed, noise)
+
+
+@pytest.mark.parametrize("seed", [168, 211])
+def test_atoms_agree_on_a_ten_digit_file(seed):
+    # Two 01 atoms at one phase plus N(3), conjugated and rounded to 10
+    # digits: the word image's residual direction near 1e-9 stays below the
+    # leg cut, so the walk keeps both atoms, and the atomic part, the
+    # classification and the decomposition agree.
+    rng = np.random.default_rng(seed)
+    phase = np.exp(2j * np.pi * rng.random())
+    atom = families.atomic_module(families.AtomicLabel("01", phase))
+    m = core.direct_sum(core.direct_sum(atom, atom), families.random_module(3, "N", seed=seed))
+    m = fileio.parse_module_file(rounded_file(core.conjugate(m, random_unitary(rng, 7))))[0]
+    parts = structure.atomic_part(m)
+    assert [s.label.word for s in parts] == ["01", "01"]
+    assert all(abs(s.label.phase - phase) < 1e-8 for s in parts)
+    rep = structure.classify_parts(m)
+    assert (rep.atomic_dim, rep.diffuse_dim, rep.residual_dim, rep.confidence) == (4, 3, 0, "certified")
+    full = structure.decompose_full(m, seed=0)
+    assert [(s.dimension, s.tag) for s in full.summands] == [(2, "atomic"), (2, "atomic"), (3, "diffuse")]
+    assert full.confidence == "certified"
+    assert all(s.label.word == "01" and abs(s.label.phase - phase) < 1e-8 for s in full.summands[:2])
 
 
 def _count_norm_preserving(monkeypatch):
@@ -480,20 +504,35 @@ def test_decompose_flags_non_full_input():
         pass
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_decompose_certifies_ten_digit_gp_copies_without_a_solve(monkeypatch, seed):
+    # Two copies of GP (6, 8) read back from a file rounded to 10 digits
+    # (residual about 1.4e-9, inside the parse gate): the probe's two
+    # 48-dimensional trees pass the leg cut, so no End is solved.
+    m = fileio.parse_module_file(rounded_file(gp_copies(seed)))[0]
+    calls = _count_commutant_solves(monkeypatch)
+    rep = structure.decompose_full(m, seed=0)
+    assert [(s.dimension, s.tag) for s in rep.summands] == [(24, "diffuse")] * 4
+    assert rep.confidence == "certified"
+    assert calls == []
+
+
 def test_decompose_solves_the_whole_carrier_when_a_frame_block_leaks(monkeypatch):
     # Two copies of GP (6, 8), which is 2 x 24, conjugated and read back from
     # a file rounded to 10 digits (residual 1.4e-9, inside the parse gate).
-    # The probe's cut finds the two 48-dimensional trees, but rounding puts
-    # their invariance defects above _INV_TOL, so End is solved once on all
-    # 96 dimensions and split into the four irreducibles.
-    rng = np.random.default_rng(0)
-    g = core.boxtimes(families.gp_module(random_gp(rng, 6)), families.gp_module(random_gp(rng, 8)))
-    obj = json.loads(fileio.serialize_module(core.conjugate(core.direct_sum(g, g), random_unitary(rng, 96))))
-    obj["legs"] = [[[[float(f"{x:.10g}") for x in z] for z in row] for row in leg] for leg in obj["legs"]]
-    m = fileio.parse_module_file(json.dumps(obj))[0]
+    # The probe's cut finds the two 48-dimensional trees, whose invariance
+    # defects pass the leg cut: four certified summands with no solve. When
+    # the first tree leaks, End is solved once on all 96 dimensions and split
+    # into the four irreducibles.
+    m = fileio.parse_module_file(rounded_file(gp_copies(0)))[0]
     sizes, solve = [], la.commutation_kernel
     monkeypatch.setattr(la, "commutation_kernel",
                         lambda pairs, rtol: sizes.append(pairs[0][0].shape[0]) or solve(pairs, rtol))
+    rep = structure.decompose_full(m, seed=0)
+    assert [(s.dimension, s.tag) for s in rep.summands] == [(24, "diffuse")] * 4
+    assert (rep.confidence, sizes) == ("certified", [])
+    leaks, defect = [1.0], structure._invariance_defect
+    monkeypatch.setattr(structure, "_invariance_defect", lambda mm, q: leaks.pop() if leaks else defect(mm, q))
     rep = structure.decompose_full(m, seed=0)
     assert [(s.dimension, s.tag) for s in rep.summands] == [(24, "diffuse")] * 4
     assert rep.confidence == "certified"
@@ -674,11 +713,11 @@ def test_complete_submodule_atomic_plus_residual(monkeypatch):
 
 
 def test_forced_completion_ends_within_d_rounds(monkeypatch):
-    # Under 1e-11 noise the atomic walk misses the one-dimensional atom "1".
-    # The forced completion still ends within d rounds, certified at the whole
-    # carrier (its stalled branch does not run here); the report is heuristic
-    # because the diffuse candidate holds the missed atom and so fails the
-    # decay certificate in classify_parts.
+    # Under 1e-11 noise the atomic walk still finds all three atoms. When it
+    # misses the one-dimensional atom "1", the forced completion still ends
+    # within d rounds, certified at the whole carrier (its stalled branch does
+    # not run here); the report is heuristic because the diffuse candidate
+    # holds the missed atom and so fails the decay certificate in classify_parts.
     atoms = [families.atomic_module(families.AtomicLabel(w, np.exp(1j * t)))
              for w, t in (("0111", 0.3), ("00101", 1.9), ("1", -2.6))]
     m = core.direct_sum(core.direct_sum(core.direct_sum(*atoms[:2]), atoms[2]),
@@ -690,9 +729,13 @@ def test_forced_completion_ends_within_d_rounds(monkeypatch):
         leg + 1e-11 * (rng.standard_normal(leg.shape) + 1j * rng.standard_normal(leg.shape))
         for leg in clean.legs
     ))
-    rep = structure.classify_parts(clean)
-    assert sorted(s.label.word for s in rep.atomic) == ["00101", "0111", "1"]
-    assert rep.confidence == "certified"
+    for module in (clean, noisy):
+        rep = structure.classify_parts(module)
+        assert sorted(s.label.word for s in rep.atomic) == ["00101", "0111", "1"]
+        assert rep.confidence == "certified"
+    walk = structure._atomic_walk
+    monkeypatch.setattr(structure, "_atomic_walk",
+                        lambda *a, **k: [s for s in walk(*a, **k) if s.label.word != "1"])
     calls = []  # one Norton search per completion round
     minimal = structure._minimal_invariant_from
     monkeypatch.setattr(
@@ -936,7 +979,7 @@ def test_atomic_walk_skips_claimed_and_rejected_carriers(monkeypatch):
                    else gram_schmidt(v, against))
         assert structure.atomic_part(m) == []
     with monkeypatch.context() as mp:
-        mp.setattr(structure, "_INV_TOL", -1.0)
+        mp.setattr(structure, "_invariance_defect", lambda mm, q: 1.0)
         assert structure.atomic_part(m) == []
 
 

@@ -9,6 +9,7 @@ anything else with ArityUnsupported.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -28,6 +29,7 @@ from .errors import (
 
 # Relative spectral floor for the fusion normalizer, per the K-invertibility
 # design decision: smallest eigenvalue of K^2 must clear d*dt*1e-10*||K^2||.
+# _normalizer applies it for boxtimes, the duality data and star alike.
 _K_GATE = 1e-10
 
 # Normality gate for class membership: ||AA* - A*A||_F <= 1e-8 ||A||_F^2.
@@ -173,26 +175,30 @@ def _contraction_spectrum(p: np.ndarray, rtol: float) -> la.HermEig:
     return la.HermEig(values=np.clip(eig.values, 0.0, 1.0), vectors=eig.vectors)
 
 
+def _normalizer(alpha: np.ndarray, alphat: np.ndarray, error: type) -> np.ndarray:
+    """The fusion normalizer K = sqrt(alpha x alphat + (1 - alpha) x (1 - alphat))
+    as a spectrum on the product basis, from two spectra in [0, 1]; error when
+    the smallest entry of K^2 is at most K^2.size * _K_GATE * max(K^2)."""
+    k2 = np.outer(alpha, alphat).ravel() + np.outer(1.0 - alpha, 1.0 - alphat).ravel()
+    gate = k2.size * _K_GATE * max(float(k2.max()), 1e-300)
+    if k2.min() <= gate:
+        raise error(f"fusion normalizer singular: min eigenvalue {k2.min():.3e} <= gate {gate:.3e}")
+    return np.sqrt(k2)
+
+
 def star(p: np.ndarray, q: np.ndarray, rtol: float = la.DEFAULT_RTOL) -> np.ndarray:
     """The weighted-mean operation (p, q) -> (p x q) / sqrt(p^2 x q^2 + (1-p^2) x (1-q^2)).
 
-    Both operands must be positive contractions; the denominator must be
-    invertible (SingularDenominator otherwise, e.g. the scalar pair (0, 1)).
+    Both operands must be positive contractions. The denominator is the
+    fusion normalizer K of (p, sqrt(1-p^2)) and (q, sqrt(1-q^2)), so star(p, q)
+    is the first leg of their fusion product; _normalizer forms and gates it
+    as for boxtimes (SingularDenominator here, e.g. the scalar pair (0, 1)).
     Computed in the joint eigenbasis of the commuting factors, which is the
     same operator as (p x q) @ psd_funcalc(denominator, inv_sqrt).
     """
-    ep = _contraction_spectrum(la.as_matrix(p), rtol)
-    eq = _contraction_spectrum(la.as_matrix(q), rtol)
-    pv = ep.values
-    qv = eq.values
-    num = np.outer(pv, qv).ravel()
-    den = np.outer(pv**2, qv**2).ravel() + np.outer(1.0 - pv**2, 1.0 - qv**2).ravel()
-    gate = len(num) * _K_GATE * max(float(den.max()), 1e-300)
-    if den.min() <= gate:
-        raise SingularDenominator(
-            f"star denominator numerically singular (min {den.min():.3e})"
-        )
-    w = num / np.sqrt(den)
+    ep, eq = (_contraction_spectrum(la.as_matrix(x), rtol) for x in (p, q))
+    pv, qv = ep.values, eq.values
+    w = np.outer(pv, qv).ravel() / _normalizer(pv**2, qv**2, SingularDenominator)
     out = _kron_right(la.kron(ep.vectors, eq.vectors) * w, ep.vectors, eq.vectors)
     return (out + la.dagger(out)) / 2.0
 
@@ -205,17 +211,11 @@ def _kron_right(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _fusion_factors(m: PModule, mt: PModule):
-    """(V, Vt, s): eigenbases of A*A and At*At, and K^-1's gated spectrum on V x Vt."""
+    """(V, Vt, s): eigenbases of A*A and At*At, and K^-1's spectrum on V x Vt,
+    K from the shared _normalizer (KernelOverlap when it fails the gate)."""
     ga, gat = la._eigh(la.gram(m.A)), la._eigh(la.gram(mt.A))
-    alpha = np.clip(ga.values, 0.0, 1.0)
-    alphat = np.clip(gat.values, 0.0, 1.0)
-    k2 = np.outer(alpha, alphat).ravel() + np.outer(1.0 - alpha, 1.0 - alphat).ravel()
-    gate = m.dim * mt.dim * _K_GATE * max(float(k2.max()), 1e-300)
-    if k2.min() <= gate:
-        raise KernelOverlap(
-            f"fusion normalizer singular: min eigenvalue {k2.min():.3e} <= gate {gate:.3e}"
-        )
-    return ga.vectors, gat.vectors, 1.0 / np.sqrt(k2)
+    k = _normalizer(np.clip(ga.values, 0.0, 1.0), np.clip(gat.values, 0.0, 1.0), KernelOverlap)
+    return ga.vectors, gat.vectors, 1.0 / k
 
 
 def boxtimes(m: PModule, mt: PModule) -> PModule:
@@ -325,6 +325,10 @@ class ScalarModule:
     a: complex
     b: complex
 
+    def __post_init__(self):
+        if not (cmath.isfinite(self.a) and cmath.isfinite(self.b)):
+            raise ValueError(f"scalar module coordinates must be finite, got ({self.a}, {self.b})")
+
     def as_module(self) -> PModule:
         return scalar_module(self.a, self.b)
 
@@ -364,8 +368,10 @@ def scalar_inverse(s: ScalarModule) -> ScalarModule:
 
 def scalar_coords_iso(c: GroupCoords) -> ScalarModule:
     """Group isomorphism (u, v, t) -> (u / sqrt(e^t + 1), sqrt(e^t/(e^t+1)) v)."""
-    if abs(abs(c.u) - 1.0) > 1e-9 or abs(abs(c.v) - 1.0) > 1e-9:
+    if not (abs(abs(c.u) - 1.0) <= 1e-9 and abs(abs(c.v) - 1.0) <= 1e-9):
         raise ValueError("u and v must be unit complex numbers")
+    if math.isnan(c.t):
+        raise ValueError("t must be a number")
     if c.t > 0:  # through e^-t: e^t leaves the float range from t of about 710
         e = math.exp(-c.t)
         return ScalarModule(a=c.u * math.sqrt(e / (1.0 + e)), b=c.v / math.sqrt(1.0 + e))

@@ -78,7 +78,8 @@ def _spin(ops, start: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the closure of span(start) under ops: each round
     maps the frontier through all ops in one stacked matmul, projects the
     images twice off the basis and keeps the left singular vectors clearing
-    the absolute leg cut _LEG_CUT (ops are contractions, start orthonormal)."""
+    the absolute leg cut _LEG_CUT, each phase fixed by la._fix_phases rather
+    than by LAPACK (ops are contractions, start orthonormal)."""
     d, n = start.shape[0], len(ops)
     stacked, q, frontier = np.vstack(ops), start, start
     while frontier.shape[1] and q.shape[1] < d:
@@ -89,6 +90,7 @@ def _spin(ops, start: np.ndarray) -> np.ndarray:
             break
         u, sigma, _ = la.thin_svd(images)
         frontier = u[:, sigma > _LEG_CUT]
+        la._fix_phases(frontier)
         q = np.column_stack([q, frontier])
     return q
 

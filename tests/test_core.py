@@ -125,6 +125,23 @@ def test_star_singular_denominator():
     with pytest.raises(SingularDenominator):
         core.star(np.array([[0.0]]), np.array([[1.0]]))
 
+    # star(p, q) is the first leg of (p, sqrt(I - p^2)) boxtimes (q, sqrt(I - q^2)),
+    # so the two share one normalizer and refuse the same operands.
+    def pythagorean_pair(u, w):
+        return core.PModule(legs=((u * w) @ u.conj().T, (u * np.sqrt(1.0 - w**2)) @ u.conj().T))
+
+    p = pythagorean_pair(np.eye(2), np.array([0.0, 0.5]))
+    q = pythagorean_pair(np.eye(2), np.array([1.0, 0.5]))
+    with pytest.raises(SingularDenominator):
+        core.star(p.A, q.A)
+    with pytest.raises(KernelOverlap):
+        core.boxtimes(p, q)
+    rng = np.random.default_rng(12)
+    for d, dt in [(d, dt) for d in range(1, 5) for dt in range(1, 5)] * 3:
+        p = pythagorean_pair(random_unitary(rng, d), rng.uniform(0.0, 1.0, d))
+        q = pythagorean_pair(random_unitary(rng, dt), rng.uniform(0.0, 1.0, dt))
+        assert np.linalg.norm(core.star(p.A, q.A) - core.boxtimes(p, q).A) <= 1e-12
+
 
 def test_star_matches_funcalc_route():
     rng = np.random.default_rng(4)
@@ -611,6 +628,10 @@ def test_coords_iso_far_from_the_origin():
     assert (abs(s.a), s.b) == (0.0, v)
     s = core.scalar_coords_iso(core.GroupCoords(u, v, -800.0))
     assert (s.a, abs(s.b)) == (u, 0.0)
+    for t in (math.inf, -math.inf):
+        assert core.scalar_coords_iso(core.GroupCoords(u, v, t)) == core.scalar_coords_iso(
+            core.GroupCoords(u, v, math.copysign(800.0, t))
+        )
     for t in (30.0, -30.0):
         s = core.scalar_coords_iso(core.GroupCoords(u, v, t))
         back = core.scalar_coords_of(s)
@@ -742,6 +763,17 @@ _ERROR_CASES = {
     ),
     "scalar_coords_iso-nonunit": (
         lambda: core.scalar_coords_iso(core.GroupCoords(u=2.0, v=1.0, t=0.0)), ValueError
+    ),
+    "scalar_module-nan": (lambda: core.ScalarModule(np.nan, 1.0), ValueError),
+    "scalar_module-inf-imag": (lambda: core.ScalarModule(1.0, complex(0.0, np.inf)), ValueError),
+    "scalar_coords_iso-nan-u": (
+        lambda: core.scalar_coords_iso(core.GroupCoords(u=complex("nan"), v=1.0, t=0.0)), ValueError
+    ),
+    "scalar_coords_iso-nan-v": (
+        lambda: core.scalar_coords_iso(core.GroupCoords(u=1.0, v=np.nan, t=0.0)), ValueError
+    ),
+    "scalar_coords_iso-nan-t": (
+        lambda: core.scalar_coords_iso(core.GroupCoords(u=1.0, v=1.0, t=np.nan)), ValueError
     ),
     "scalar_coords_of-axis": (
         lambda: core.scalar_coords_of(core.ScalarModule(1, 0)), OnUnitAxis

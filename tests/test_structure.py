@@ -1111,6 +1111,22 @@ def test_spin_closure_keeps_atom_carriers():
                 assert np.linalg.norm(q @ q.conj().T - a.isometry @ a.isometry.conj().T) < 1e-8
 
 
+def test_spin_fixes_the_phase_of_each_new_column():
+    # Spun from a kernel vector of the normal leg A, the adjoint A-image is
+    # rounding noise, and LAPACK's SVD would take the new columns' phases from
+    # it. The phase rule makes the basis a stable function of the start vector.
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        d = 3 + seed % 5
+        m = families.random_module(d, "M", zero_eigenvalues=1 + seed % 2, seed=seed)
+        m = core.conjugate(m, random_unitary(rng, d))
+        ops = [leg.conj().T for leg in m.legs]
+        v = np.linalg.svd(m.A)[2][-1:].conj().T
+        w = v + 1e-15 * (rng.standard_normal((d, 1)) + 1j * rng.standard_normal((d, 1)))
+        q, qw = structure._spin(ops, v), structure._spin(ops, w / np.linalg.norm(w))
+        assert q.shape == qw.shape and np.abs(q - qw).max() <= 1e-12
+
+
 def test_spectral_routes_need_no_commutant_solve(monkeypatch):
     calls = _count_commutant_solves(monkeypatch)
     for seed in (1, 2, 3):

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain errors (KernelOverlap, NotInvertible, a
-failing validate, a solve refused by its size cap (TooLarge), ...) and
-memory exhaustion, 2 usage and parse errors (malformed files, bad shapes,
-Pythagorean violations in inputs). Reports go to stdout, diagnostics
+failing validate, a prime-word list refused by the allocation cap
+(TooLarge), ...) and memory exhaustion, 2 usage and parse errors (malformed
+files, bad shapes, Pythagorean violations in inputs). Reports go to stdout, diagnostics
 to stderr; identical argv (seeds included) produce byte-identical output.
 Stdout closed early by its reader (``pmod ... | head``) is exit 1, no traceback.
 """

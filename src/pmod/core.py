@@ -47,20 +47,15 @@ class PModule:
         if len(self.legs) < 2:
             raise ShapeMismatch("a module needs at least two legs")
         coerced = []
-        dim = None
         for k, leg in enumerate(self.legs):
-            m = la.as_matrix(leg)
+            m = la.as_matrix(leg).copy()
+            dim = coerced[0].shape[0] if coerced else m.shape[0]
             if m.shape[0] != m.shape[1]:
                 raise ShapeMismatch(f"leg {k} is not square: {m.shape}")
-            if dim is None:
-                dim = m.shape[0]
-                if not dim:
-                    raise ShapeMismatch("legs must have dimension at least 1")
-            elif m.shape[0] != dim:
-                raise ShapeMismatch(
-                    f"leg {k} has dimension {m.shape[0]}, expected {dim}"
-                )
-            m = m.copy()
+            if m.shape[0] != dim:
+                raise ShapeMismatch(f"leg {k} has dimension {m.shape[0]}, expected {dim}")
+            if not dim:
+                raise ShapeMismatch("legs must have dimension at least 1")
             m.setflags(write=False)
             coerced.append(m)
         object.__setattr__(self, "legs", tuple(coerced))

@@ -62,7 +62,7 @@ class NotD2Shape(PModError):
 
 
 class NotFullSuspected(PModError):
-    """A commutant split produced a subspace whose complement is not leg-invariant."""
+    """No longer raised by pmod: decompose_full keeps a leaking commutant block whole."""
 
 
 class TooLarge(PModError):

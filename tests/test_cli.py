@@ -632,6 +632,21 @@ def test_cli_structure_commands_at_a_large_tolerance(files, capsys, tol):
     assert r["confidence"] == "certified"
 
 
+def test_cli_equiv_of_unrelated_samples_is_never_true(capsys, tmp_path):
+    # The probe spectra of samples 1 and 2 are 0.52 apart. Without a ceiling
+    # on eta, a witness with leg defect 2.06 would pass from --tol 0.3 on.
+    paths = []
+    for seed in ("1", "2"):
+        code, sample, _ = run_cli(capsys, "sample", "--dim", "3", "--seed", seed, "--format", "json")
+        assert code == 0
+        paths.append(tmp_path / f"s{seed}.json")
+        paths[-1].write_text(sample, encoding="utf-8")
+    for tol in ("1e-12", "1e-9", "1e-4", "1e-3", "1e-2", "0.1", "0.3", "1", "inf"):
+        code, out, _ = run_cli(capsys, "equiv", *map(str, paths), "--tol", tol, "--seed", "0", "--format", "json")
+        r = json.loads(out)
+        assert code == 0 and r["verdict"] is not True, (tol, r["reason"])
+
+
 def test_cli_gp_fuse_lengths(capsys):
     z = json.dumps([[[0.6, 0.0], [0.8, 0.0]], [[0.8, 0.0], [0.0, 0.6]]])
     zt = json.dumps(
